@@ -62,7 +62,7 @@ impl Matcher {
 const PANIC_ENTRIES: &[Matcher] = &[
     Matcher::TraitImpl {
         trait_name: "Automaton",
-        method: Some("step"),
+        method: Some("apply"),
     },
     Matcher::TraitImpl {
         trait_name: "Automaton",
@@ -108,10 +108,11 @@ const PANIC_ENTRIES: &[Matcher] = &[
 
 /// Entry points for the blocking and allocation passes: the record
 /// ring's append path and serve's per-frame ingress/egress loops.
-/// `run_shard` itself is *not* here — its single `recv_timeout` park is
-/// the designed blocking point, and its admission work (session setup)
-/// may allocate; the per-frame work it dispatches to is what must stay
-/// nonblocking and allocation-free. Protocol automata (`step`) are the
+/// `run_shard` itself is *not* here — its deadline sleep (through
+/// `TickClock::sleep_until`) is the designed blocking point, and its
+/// admission work (session setup) may allocate; the per-frame work it
+/// dispatches to is what must stay nonblocking and allocation-free.
+/// Protocol automata (`apply`) are the
 /// *panic* pass's concern: their error paths may format messages, which
 /// is cold-path allocation, not steady state.
 const STEADY_STATE_ENTRIES: &[Matcher] = &[

@@ -75,7 +75,7 @@ pub const RULES: &[RuleInfo] = &[
         id: "panic-reachable",
         invariant: "Y is always a prefix of X: no protocol entry point reaches a panic",
         description: "an unwrap/expect/panic!/variable-index sink reachable from \
-                      Automaton::step/output, codec encode/decode, the serve shard tick, or \
+                      Automaton::apply/output, codec encode/decode, the serve shard tick, or \
                       the record append path — reported with the full call chain",
     },
     RuleInfo {

@@ -48,9 +48,12 @@ impl std::error::Error for StepError {}
 
 /// An I/O automaton (paper §2.1).
 ///
-/// The transition relation is represented by [`step`](Automaton::step)
-/// (partial function: `None`-like failure via [`StepError`]) together with
-/// [`enabled`](Automaton::enabled) (which local actions may fire). All
+/// The transition relation is represented by [`apply`](Automaton::apply)
+/// (partial function: failure via [`StepError`]) together with
+/// [`enabled`](Automaton::enabled) (which local actions may fire).
+/// [`step`](Automaton::step) is the functional view of the same relation,
+/// provided on top of `apply`, so every protocol has exactly one
+/// transition implementation. All
 /// automata in this crate family are *deterministic* in the paper's sense —
 /// at most one local action enabled per state and at most one post-state per
 /// (state, action) — which [`check_deterministic`] can verify along an
@@ -78,12 +81,22 @@ pub trait Automaton {
     /// [`ActionClass::Internal`].
     fn enabled(&self, state: &Self::State) -> Vec<Self::Action>;
 
-    /// Applies `action` to `state`.
+    /// Applies `action` to `state` in place.
     ///
     /// Must succeed for every input action in every state
     /// (**input-enabledness**, paper §2.1 item 3). For local actions it must
-    /// succeed exactly when the action's precondition holds.
-    fn step(&self, state: &Self::State, action: &Self::Action) -> Result<Self::State, StepError>;
+    /// succeed exactly when the action's precondition holds. On `Err` the
+    /// state must be left exactly as it was: callers that keep a state
+    /// across a rejected action rely on it.
+    fn apply(&self, state: &mut Self::State, action: &Self::Action) -> Result<(), StepError>;
+
+    /// The post-state of `action` in `state`: a clone of `state` with
+    /// [`apply`](Automaton::apply) run on it.
+    fn step(&self, state: &Self::State, action: &Self::Action) -> Result<Self::State, StepError> {
+        let mut next = state.clone();
+        self.apply(&mut next, action)?;
+        Ok(next)
+    }
 
     /// The index of the fairness class of a local action
     /// (`fair(A)` is a partition of `loc(A)`; paper §2.1 item 4).
@@ -218,11 +231,17 @@ mod tests {
             }
         }
 
-        fn step(&self, state: &bool, action: &Act) -> Result<bool, StepError> {
+        fn apply(&self, state: &mut bool, action: &Act) -> Result<(), StepError> {
             match action {
-                Act::Poke => Ok(*state), // input-enabled: always applicable
-                Act::On if !*state => Ok(true),
-                Act::Off if *state => Ok(false),
+                Act::Poke => Ok(()), // input-enabled: always applicable
+                Act::On if !*state => {
+                    *state = true;
+                    Ok(())
+                }
+                Act::Off if *state => {
+                    *state = false;
+                    Ok(())
+                }
                 _ => Err(StepError::PreconditionFalse {
                     action: format!("{action:?}"),
                     reason: "toggle already in target position".into(),

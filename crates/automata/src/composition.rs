@@ -95,15 +95,15 @@ impl std::error::Error for CompatibilityError {}
 ///     fn enabled(&self, s: &bool) -> Vec<Act> {
 ///         if *s { vec![] } else { vec![Act::Fire] }
 ///     }
-///     fn step(&self, s: &bool, _: &Act) -> Result<bool, StepError> {
+///     fn apply(&self, s: &mut bool, _: &Act) -> Result<(), StepError> {
 ///         if *s {
-///             Err(StepError::PreconditionFalse {
+///             return Err(StepError::PreconditionFalse {
 ///                 action: "Fire".into(),
 ///                 reason: "already fired".into(),
-///             })
-///         } else {
-///             Ok(true)
+///             });
 ///         }
+///         *s = true;
+///         Ok(())
 ///     }
 /// }
 ///
@@ -114,7 +114,10 @@ impl std::error::Error for CompatibilityError {}
 ///     fn initial_state(&self) -> bool { false }
 ///     fn classify(&self, _: &Act) -> Option<ActionClass> { Some(ActionClass::Input) }
 ///     fn enabled(&self, _: &bool) -> Vec<Act> { vec![] }
-///     fn step(&self, _: &bool, _: &Act) -> Result<bool, StepError> { Ok(true) }
+///     fn apply(&self, s: &mut bool, _: &Act) -> Result<(), StepError> {
+///         *s = true;
+///         Ok(())
+///     }
 /// }
 ///
 /// let sys = Compose::new(Sender, Latch);
@@ -247,24 +250,22 @@ where
         actions
     }
 
-    fn step(&self, state: &Self::State, action: &A) -> Result<Self::State, StepError> {
-        let (in_left, in_right) = self.participants(action);
-        if !in_left && !in_right {
-            return Err(StepError::UnknownAction {
+    fn apply(&self, state: &mut Self::State, action: &A) -> Result<(), StepError> {
+        match self.participants(action) {
+            (false, false) => Err(StepError::UnknownAction {
                 action: format!("{action:?}"),
-            });
+            }),
+            (true, false) => self.left.apply(&mut state.0, action),
+            (false, true) => self.right.apply(&mut state.1, action),
+            (true, true) => {
+                // A shared action must move both sides or neither: the
+                // left post-state is held aside until the right applies.
+                let next_left = self.left.step(&state.0, action)?;
+                self.right.apply(&mut state.1, action)?;
+                state.0 = next_left;
+                Ok(())
+            }
         }
-        let next_left = if in_left {
-            self.left.step(&state.0, action)?
-        } else {
-            state.0.clone()
-        };
-        let next_right = if in_right {
-            self.right.step(&state.1, action)?
-        } else {
-            state.1.clone()
-        };
-        Ok((next_left, next_right))
     }
 
     fn fairness_class(&self, action: &A) -> usize {
@@ -320,12 +321,13 @@ mod tests {
             }
         }
 
-        fn step(&self, state: &Self::State, action: &Act) -> Result<Self::State, StepError> {
+        fn apply(&self, state: &mut Self::State, action: &Act) -> Result<(), StepError> {
             match action {
-                Act::Ping => Ok((true, state.1)),
-                Act::Pong => Ok((state.0, true)),
-                Act::Tick(_) => Ok(*state),
+                Act::Ping => state.0 = true,
+                Act::Pong => state.1 = true,
+                Act::Tick(_) => {}
             }
+            Ok(())
         }
     }
 
@@ -354,12 +356,13 @@ mod tests {
             }
         }
 
-        fn step(&self, state: &Self::State, action: &Act) -> Result<Self::State, StepError> {
+        fn apply(&self, state: &mut Self::State, action: &Act) -> Result<(), StepError> {
             match action {
-                Act::Ping => Ok((true, state.1)),
-                Act::Pong => Ok((state.0, true)),
-                Act::Tick(_) => Ok(*state),
+                Act::Ping => state.0 = true,
+                Act::Pong => state.1 = true,
+                Act::Tick(_) => {}
             }
+            Ok(())
         }
     }
 

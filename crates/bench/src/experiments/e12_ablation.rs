@@ -121,7 +121,7 @@ impl Automaton for PositionalTransmitter {
         }
     }
 
-    fn step(&self, s: &PtState, action: &RstpAction) -> Result<PtState, StepError> {
+    fn apply(&self, s: &mut PtState, action: &RstpAction) -> Result<(), StepError> {
         let advance = |s: &PtState| {
             let c = (s.c + 1) % (self.burst_len + self.wait_len);
             if c == 0 {
@@ -135,12 +135,14 @@ impl Automaton for PositionalTransmitter {
         };
         match action {
             RstpAction::Send(_) if s.block < self.blocks.len() && s.c < self.burst_len => {
-                Ok(advance(s))
+                *s = advance(s);
+                Ok(())
             }
             RstpAction::TransmitterInternal(InternalKind::Wait)
                 if s.block < self.blocks.len() && s.c >= self.burst_len =>
             {
-                Ok(advance(s))
+                *s = advance(s);
+                Ok(())
             }
             other => Err(StepError::PreconditionFalse {
                 action: format!("{other:?}"),
@@ -207,25 +209,23 @@ impl Automaton for PositionalReceiver {
         }
     }
 
-    fn step(&self, s: &PrState, action: &RstpAction) -> Result<PrState, StepError> {
+    fn apply(&self, s: &mut PrState, action: &RstpAction) -> Result<(), StepError> {
         match action {
             RstpAction::Recv(Packet::Data(sym)) => {
-                let mut next = s.clone();
-                next.burst.push(*sym % self.k);
-                if next.burst.len() as u64 == self.delta {
-                    let bits = positional_decode(self.k, &next.burst, self.bits);
-                    let remaining = self.expected.saturating_sub(next.decoded.len());
+                s.burst.push(*sym % self.k);
+                if s.burst.len() as u64 == self.delta {
+                    let bits = positional_decode(self.k, &s.burst, self.bits);
+                    let remaining = self.expected.saturating_sub(s.decoded.len());
                     let take = bits.len().min(remaining);
-                    next.decoded.extend(bits.into_iter().take(take));
-                    next.burst.clear();
+                    s.decoded.extend(bits.into_iter().take(take));
+                    s.burst.clear();
                 }
-                Ok(next)
+                Ok(())
             }
             RstpAction::Write(m) => {
                 if s.decoded.get(s.written) == Some(m) {
-                    let mut next = s.clone();
-                    next.written += 1;
-                    Ok(next)
+                    s.written += 1;
+                    Ok(())
                 } else {
                     Err(StepError::PreconditionFalse {
                         action: format!("{action:?}"),
@@ -240,7 +240,7 @@ impl Automaton for PositionalReceiver {
                         reason: "idle precondition".into(),
                     })
                 } else {
-                    Ok(s.clone())
+                    Ok(())
                 }
             }
             other => Err(StepError::UnknownAction {

@@ -125,11 +125,11 @@ impl Automaton for AlphaTransmitter {
         }
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &AlphaTransmitterState,
+        state: &mut AlphaTransmitterState,
         action: &RstpAction,
-    ) -> Result<AlphaTransmitterState, StepError> {
+    ) -> Result<(), StepError> {
         match action {
             RstpAction::Send(p) => {
                 if state.idle_count != 0 || state.next >= self.input.len() {
@@ -147,7 +147,8 @@ impl Automaton for AlphaTransmitter {
                         reason: format!("p must equal x_i = {}", self.packet_for(state.next)),
                     });
                 }
-                Ok(self.advance(state))
+                *state = self.advance(state);
+                Ok(())
             }
             RstpAction::TransmitterInternal(InternalKind::Wait) => {
                 if state.idle_count == 0 || state.idle_count >= self.delta1 {
@@ -156,7 +157,8 @@ impl Automaton for AlphaTransmitter {
                         reason: format!("wait_t requires 0 < j < δ1 (j = {})", state.idle_count),
                     });
                 }
-                Ok(self.advance(state))
+                *state = self.advance(state);
+                Ok(())
             }
             other => Err(StepError::UnknownAction {
                 action: format!("{other:?}"),
@@ -214,16 +216,11 @@ impl Automaton for AlphaReceiver {
         }
     }
 
-    fn step(
-        &self,
-        state: &AlphaReceiverState,
-        action: &RstpAction,
-    ) -> Result<AlphaReceiverState, StepError> {
+    fn apply(&self, state: &mut AlphaReceiverState, action: &RstpAction) -> Result<(), StepError> {
         match action {
             RstpAction::Recv(Packet::Data(s)) => {
-                let mut next = state.clone();
-                next.received.push(*s != 0);
-                Ok(next)
+                state.received.push(*s != 0);
+                Ok(())
             }
             RstpAction::Write(m) => {
                 let Some(&expected) = state.received.get(state.written) else {
@@ -238,9 +235,8 @@ impl Automaton for AlphaReceiver {
                         reason: format!("m must equal y_k = {expected}"),
                     });
                 }
-                let mut next = state.clone();
-                next.written += 1;
-                Ok(next)
+                state.written += 1;
+                Ok(())
             }
             RstpAction::ReceiverInternal(InternalKind::Idle) => {
                 if state.written < state.received.len() {
@@ -249,7 +245,7 @@ impl Automaton for AlphaReceiver {
                         reason: "idle_r requires k > i (nothing to write)".into(),
                     });
                 }
-                Ok(state.clone())
+                Ok(())
             }
             other => Err(StepError::UnknownAction {
                 action: format!("{other:?}"),

@@ -111,22 +111,19 @@ impl Automaton for AltBitTransmitter {
         }
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &AltBitTransmitterState,
+        state: &mut AltBitTransmitterState,
         action: &RstpAction,
-    ) -> Result<AltBitTransmitterState, StepError> {
+    ) -> Result<(), StepError> {
         match action {
             RstpAction::Recv(Packet::Ack(tag)) => {
                 // Input-enabled: stale or stray acks are absorbed silently.
                 if state.next < self.input.len() && (tag & 1) == (state.next as u64) & 1 {
-                    Ok(AltBitTransmitterState {
-                        next: state.next + 1,
-                        timer: 0,
-                    })
-                } else {
-                    Ok(state.clone())
+                    state.next += 1;
+                    state.timer = 0;
                 }
+                Ok(())
             }
             RstpAction::Send(Packet::Data(symbol)) => {
                 if state.next >= self.input.len() || state.timer != 0 {
@@ -144,10 +141,8 @@ impl Automaton for AltBitTransmitter {
                         reason: "packet must carry the current (tag, bit)".into(),
                     });
                 }
-                Ok(AltBitTransmitterState {
-                    next: state.next,
-                    timer: 1,
-                })
+                state.timer = 1;
+                Ok(())
             }
             RstpAction::TransmitterInternal(InternalKind::Wait) => {
                 if state.next >= self.input.len() || state.timer == 0 {
@@ -156,11 +151,8 @@ impl Automaton for AltBitTransmitter {
                         reason: "wait requires a running retransmission timer".into(),
                     });
                 }
-                let timer = (state.timer + 1) % self.timeout_steps;
-                Ok(AltBitTransmitterState {
-                    next: state.next,
-                    timer,
-                })
+                state.timer = (state.timer + 1) % self.timeout_steps;
+                Ok(())
             }
             other => Err(StepError::UnknownAction {
                 action: format!("{other:?}"),
@@ -222,30 +214,24 @@ impl Automaton for AltBitReceiver {
         }
     }
 
-    fn step(
-        &self,
-        state: &AltBitReceiverState,
-        action: &RstpAction,
-    ) -> Result<AltBitReceiverState, StepError> {
+    fn apply(&self, state: &mut AltBitReceiverState, action: &RstpAction) -> Result<(), StepError> {
         match action {
             RstpAction::Recv(Packet::Data(symbol)) => {
                 let (tag, bit) = decode_symbol(*symbol);
-                let mut next = state.clone();
                 if tag == state.expected_tag {
-                    next.received.push(bit);
-                    next.expected_tag ^= 1;
+                    state.received.push(bit);
+                    state.expected_tag ^= 1;
                 }
                 // Ack every arrival — duplicates get their (old) tag
                 // re-acked, which is what lets the transmitter recover from
                 // a lost ack.
-                next.ack_queue.push_back(tag);
-                Ok(next)
+                state.ack_queue.push_back(tag);
+                Ok(())
             }
             RstpAction::Send(Packet::Ack(tag)) => match state.ack_queue.front() {
                 Some(&front) if front == *tag => {
-                    let mut next = state.clone();
-                    next.ack_queue.pop_front();
-                    Ok(next)
+                    state.ack_queue.pop_front();
+                    Ok(())
                 }
                 _ => Err(StepError::PreconditionFalse {
                     action: format!("{action:?}"),
@@ -259,9 +245,8 @@ impl Automaton for AltBitReceiver {
                         reason: "write requires the next accepted message".into(),
                     });
                 }
-                let mut next = state.clone();
-                next.written += 1;
-                Ok(next)
+                state.written += 1;
+                Ok(())
             }
             RstpAction::ReceiverInternal(InternalKind::Idle) => {
                 if !state.ack_queue.is_empty() || state.written < state.received.len() {
@@ -270,7 +255,7 @@ impl Automaton for AltBitReceiver {
                         reason: "idle_r requires no pending acks or writes".into(),
                     });
                 }
-                Ok(state.clone())
+                Ok(())
             }
             other => Err(StepError::UnknownAction {
                 action: format!("{other:?}"),

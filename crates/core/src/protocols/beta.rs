@@ -209,11 +209,11 @@ impl Automaton for BetaTransmitter {
         }
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &BetaTransmitterState,
+        state: &mut BetaTransmitterState,
         action: &RstpAction,
-    ) -> Result<BetaTransmitterState, StepError> {
+    ) -> Result<(), StepError> {
         let precondition_false = |reason: String| StepError::PreconditionFalse {
             action: format!("{action:?}"),
             reason,
@@ -233,7 +233,8 @@ impl Automaton for BetaTransmitter {
                 if *symbol != expected {
                     return Err(precondition_false(format!("p must equal x̂_i = {expected}")));
                 }
-                Ok(self.advance(state))
+                *state = self.advance(state);
+                Ok(())
             }
             RstpAction::TransmitterInternal(InternalKind::Wait) => {
                 if state.step_in_round < self.burst_len {
@@ -242,7 +243,8 @@ impl Automaton for BetaTransmitter {
                         state.step_in_round
                     )));
                 }
-                Ok(self.advance(state))
+                *state = self.advance(state);
+                Ok(())
             }
             other => Err(StepError::UnknownAction {
                 action: format!("{other:?}"),
@@ -369,16 +371,11 @@ impl Automaton for BetaReceiver {
         }
     }
 
-    fn step(
-        &self,
-        state: &BetaReceiverState,
-        action: &RstpAction,
-    ) -> Result<BetaReceiverState, StepError> {
+    fn apply(&self, state: &mut BetaReceiverState, action: &RstpAction) -> Result<(), StepError> {
         match action {
             RstpAction::Recv(Packet::Data(s)) => {
-                let mut next = state.clone();
-                self.absorb(&mut next, *s);
-                Ok(next)
+                self.absorb(state, *s);
+                Ok(())
             }
             RstpAction::Write(m) => {
                 let Some(&expected) = state.decoded.get(state.written) else {
@@ -393,9 +390,8 @@ impl Automaton for BetaReceiver {
                         reason: format!("m must equal ŷ_k = {expected}"),
                     });
                 }
-                let mut next = state.clone();
-                next.written += 1;
-                Ok(next)
+                state.written += 1;
+                Ok(())
             }
             RstpAction::ReceiverInternal(InternalKind::Idle) => {
                 if state.written < state.decoded.len() {
@@ -404,7 +400,7 @@ impl Automaton for BetaReceiver {
                         reason: "idle_r requires nothing to write".into(),
                     });
                 }
-                Ok(state.clone())
+                Ok(())
             }
             other => Err(StepError::UnknownAction {
                 action: format!("{other:?}"),

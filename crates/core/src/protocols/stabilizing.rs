@@ -54,6 +54,7 @@ use crate::params::TimingParams;
 use crate::protocols::{BetaTransmitter, BetaTransmitterState, ProtocolError};
 use rstp_automata::{ActionClass, Automaton, Corruptible, RegisterSpec, StepError};
 use rstp_codec::{BlockCodec, Multiset};
+use std::borrow::Cow;
 
 /// Number of recycled sequence tags (`seq mod TAGS`).
 ///
@@ -386,17 +387,19 @@ impl Automaton for StabStenningTransmitter {
         }
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &StabStenningTransmitterState,
+        state: &mut StabStenningTransmitterState,
         action: &RstpAction,
-    ) -> Result<StabStenningTransmitterState, StepError> {
+    ) -> Result<(), StepError> {
+        // Four registers: the post-state is built from a normalized copy
+        // and stored only once the action is accepted.
         let s = self.normalize(state);
         let precondition_false = |reason: &str| StepError::PreconditionFalse {
             action: format!("{action:?}"),
             reason: reason.into(),
         };
-        match action {
+        *state = match action {
             RstpAction::Recv(Packet::Ack(symbol)) => Ok(self.absorb_ack(&s, *symbol)),
             RstpAction::Send(Packet::Data(symbol)) => {
                 if s.next >= self.input.len() || s.timer != 0 {
@@ -454,7 +457,8 @@ impl Automaton for StabStenningTransmitter {
             other => Err(StepError::UnknownAction {
                 action: format!("{other:?}"),
             }),
-        }
+        }?;
+        Ok(())
     }
 }
 
@@ -528,10 +532,15 @@ impl StabStenningReceiver {
         StabStenningReceiver
     }
 
-    fn normalize(&self, state: &StabStenningReceiverState) -> StabStenningReceiverState {
-        let mut s = state.clone();
-        s.expected %= TAGS;
-        s.written = s.written.min(s.received.len());
+    /// Borrowed when the state is already well-formed, which every state
+    /// the protocol reaches by its own steps is; only a corrupted state
+    /// pays for a copy.
+    fn normalize<'a>(
+        &self,
+        state: &'a StabStenningReceiverState,
+    ) -> Cow<'a, StabStenningReceiverState> {
+        let expected = state.expected % TAGS;
+        let written = state.written.min(state.received.len());
         // The unwritten tail is NOT clamped here: corruption can only
         // fabricate up to `GARBAGE_MAX` entries (the register encoding in
         // `state_from_registers` bounds it), while a *legitimate* tail can
@@ -539,12 +548,18 @@ impl StabStenningReceiver {
         // than the channel delivers — the sharded server does exactly that
         // under deadline misses, and truncating here silently dropped
         // accepted messages.
-        if s.pending_ack
-            .is_some_and(|a| a >= stab_stenning_ack_alphabet())
-        {
-            s.pending_ack = None;
+        let pending_ack = state
+            .pending_ack
+            .filter(|&a| a < stab_stenning_ack_alphabet());
+        if (expected, written, pending_ack) == (state.expected, state.written, state.pending_ack) {
+            return Cow::Borrowed(state);
         }
-        s
+        Cow::Owned(StabStenningReceiverState {
+            expected,
+            written,
+            pending_ack,
+            ..state.clone()
+        })
     }
 
     fn write_value(&self, s: &StabStenningReceiverState) -> Option<Message> {
@@ -589,64 +604,67 @@ impl Automaton for StabStenningReceiver {
         }
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &StabStenningReceiverState,
+        state: &mut StabStenningReceiverState,
         action: &RstpAction,
-    ) -> Result<StabStenningReceiverState, StepError> {
-        let s = self.normalize(state);
+    ) -> Result<(), StepError> {
+        if let Cow::Owned(mut normal) = self.normalize(state) {
+            // A corrupted state: step a normalized copy, so a rejected
+            // action leaves the stored state exactly as it was.
+            self.apply(&mut normal, action)?;
+            *state = normal;
+            return Ok(());
+        }
         let precondition_false = |reason: &str| StepError::PreconditionFalse {
             action: format!("{action:?}"),
             reason: reason.into(),
         };
         match action {
             RstpAction::Recv(Packet::Data(symbol)) => {
-                let mut next = s.clone();
                 if *symbol < TAGS {
                     // Sync probe: adopt the transmitter's tag unconditionally.
-                    next.expected = *symbol;
-                    next.pending_ack = Some(ack_sync_symbol(*symbol));
-                    next.synced = true;
+                    state.expected = *symbol;
+                    state.pending_ack = Some(ack_sync_symbol(*symbol));
+                    state.synced = true;
                 } else if *symbol < stab_stenning_data_alphabet() {
                     let tag = (*symbol - TAGS) / 2;
                     let bit = (*symbol - TAGS) % 2 == 1;
-                    if tag == s.expected {
-                        next.received.push(bit);
-                        next.expected = (s.expected + 1) % TAGS;
-                        next.pending_ack = Some(ack_data_symbol(tag));
-                    } else if tag == (s.expected + TAGS - 1) % TAGS {
+                    if tag == state.expected {
+                        state.received.push(bit);
+                        state.expected = (tag + 1) % TAGS;
+                        state.pending_ack = Some(ack_data_symbol(tag));
+                    } else if tag == (state.expected + TAGS - 1) % TAGS {
                         // Retransmission of the message just accepted: the
                         // ack was lost to corruption; re-ack, don't re-store.
-                        next.pending_ack = Some(ack_data_symbol(tag));
+                        state.pending_ack = Some(ack_data_symbol(tag));
                     }
                     // Any other tag is unanswerable garbage: stay silent so
                     // the transmitter strikes out and escalates to a sync.
                 }
-                Ok(next)
+                Ok(())
             }
-            RstpAction::Send(Packet::Ack(symbol)) => match s.pending_ack {
-                Some(pending) if pending == *symbol => Ok(StabStenningReceiverState {
-                    pending_ack: None,
-                    ..s
-                }),
+            RstpAction::Send(Packet::Ack(symbol)) => match state.pending_ack {
+                Some(pending) if pending == *symbol => {
+                    state.pending_ack = None;
+                    Ok(())
+                }
                 _ => Err(precondition_false("send(ack) must emit the pending ack")),
             },
             RstpAction::Write(m) => {
-                if self.write_value(&s) != Some(*m) {
+                if self.write_value(state) != Some(*m) {
                     return Err(precondition_false(
                         "write requires the next accepted message",
                     ));
                 }
-                Ok(StabStenningReceiverState {
-                    written: s.written + 1,
-                    ..s
-                })
+                state.written += 1;
+                Ok(())
             }
             RstpAction::ReceiverInternal(InternalKind::Idle) => {
-                if s.pending_ack.is_some() || s.written < s.received.len() {
+                if state.pending_ack.is_some() || state.written < state.received.len() {
                     return Err(precondition_false("idle_r requires no pending work"));
                 }
-                Ok(s)
+                Ok(())
             }
             other => Err(StepError::UnknownAction {
                 action: format!("{other:?}"),
@@ -679,6 +697,7 @@ impl Corruptible for StabStenningReceiver {
             pending_ack: (pending < stab_stenning_ack_alphabet()).then_some(pending),
             synced: false,
         })
+        .into_owned()
     }
 
     fn state_to_registers(&self, state: &StabStenningReceiverState) -> Vec<u64> {
@@ -783,16 +802,24 @@ impl StabBetaReceiver {
         self.gap_reset
     }
 
-    fn normalize(&self, state: &StabBetaReceiverState) -> StabBetaReceiverState {
-        let mut s = state.clone();
-        s.written = s.written.min(s.decoded.len());
+    /// Borrowed when the state is already well-formed (see
+    /// [`StabStenningReceiver`]'s `normalize`).
+    fn normalize<'a>(&self, state: &'a StabBetaReceiverState) -> Cow<'a, StabBetaReceiverState> {
+        let written = state.written.min(state.decoded.len());
         // As with the stabilizing Stenning receiver, the decoded-but-
         // unwritten tail is deliberately unclamped: corruption is bounded
         // to `GARBAGE_MAX` fabricated entries at the register boundary,
         // and a long legitimate tail just means the writer is scheduled
         // more slowly than bursts arrive (routine on a loaded shard).
-        s.silent_steps = s.silent_steps.min(self.gap_reset);
-        s
+        let silent_steps = state.silent_steps.min(self.gap_reset);
+        if (written, silent_steps) == (state.written, state.silent_steps) {
+            return Cow::Borrowed(state);
+        }
+        Cow::Owned(StabBetaReceiverState {
+            written,
+            silent_steps,
+            ..state.clone()
+        })
     }
 
     fn absorb(&self, state: &mut StabBetaReceiverState, symbol: u64) {
@@ -859,56 +886,56 @@ impl Automaton for StabBetaReceiver {
         }
     }
 
-    fn step(
+    fn apply(
         &self,
-        state: &StabBetaReceiverState,
+        state: &mut StabBetaReceiverState,
         action: &RstpAction,
-    ) -> Result<StabBetaReceiverState, StepError> {
-        let s = self.normalize(state);
+    ) -> Result<(), StepError> {
+        if let Cow::Owned(mut normal) = self.normalize(state) {
+            // A corrupted state: step a normalized copy, so a rejected
+            // action leaves the stored state exactly as it was.
+            self.apply(&mut normal, action)?;
+            *state = normal;
+            return Ok(());
+        }
         let precondition_false = |reason: &str| StepError::PreconditionFalse {
             action: format!("{action:?}"),
             reason: reason.into(),
         };
         match action {
             RstpAction::Recv(Packet::Data(symbol)) => {
-                let mut next = s.clone();
-                next.silent_steps = 0;
-                self.absorb(&mut next, *symbol);
-                Ok(next)
+                state.silent_steps = 0;
+                self.absorb(state, *symbol);
+                Ok(())
             }
             RstpAction::Write(m) => {
-                if s.decoded.get(s.written) != Some(m) {
+                if state.decoded.get(state.written) != Some(m) {
                     return Err(precondition_false(
                         "write requires a decoded, unwritten message",
                     ));
                 }
-                Ok(StabBetaReceiverState {
-                    written: s.written + 1,
-                    ..s
-                })
+                state.written += 1;
+                Ok(())
             }
             RstpAction::ReceiverInternal(InternalKind::Wait) => {
-                if s.burst.is_empty() || s.written < s.decoded.len() {
+                if state.burst.is_empty() || state.written < state.decoded.len() {
                     return Err(precondition_false("wait_r requires only a partial burst"));
                 }
-                let mut next = StabBetaReceiverState {
-                    silent_steps: s.silent_steps + 1,
-                    ..s
-                };
-                if next.silent_steps >= self.gap_reset {
+                state.silent_steps += 1;
+                if state.silent_steps >= self.gap_reset {
                     // Arrivals within a live burst are never this far
                     // apart: the partial burst is corrupted framing.
-                    next.burst.clear();
-                    next.resets += 1;
-                    next.silent_steps = 0;
+                    state.burst.clear();
+                    state.resets += 1;
+                    state.silent_steps = 0;
                 }
-                Ok(next)
+                Ok(())
             }
             RstpAction::ReceiverInternal(InternalKind::Idle) => {
-                if s.written < s.decoded.len() || !s.burst.is_empty() {
+                if state.written < state.decoded.len() || !state.burst.is_empty() {
                     return Err(precondition_false("idle_r requires no pending work"));
                 }
-                Ok(s)
+                Ok(())
             }
             other => Err(StepError::UnknownAction {
                 action: format!("{other:?}"),
@@ -947,6 +974,7 @@ impl Corruptible for StabBetaReceiver {
             resets: 0,
             decode_failures: 0,
         })
+        .into_owned()
     }
 
     fn state_to_registers(&self, state: &StabBetaReceiverState) -> Vec<u64> {

@@ -54,7 +54,14 @@ impl TickClock {
 
     /// Microseconds elapsed since the epoch.
     pub fn now_micros(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
+        self.micros_at(Instant::now())
+    }
+
+    /// Microseconds from the epoch to `at` (0 for an instant before it):
+    /// lets a caller that already read the clock stamp several events
+    /// from that one reading.
+    pub fn micros_at(&self, at: Instant) -> u64 {
+        u64::try_from(at.saturating_duration_since(self.epoch).as_micros()).unwrap_or(u64::MAX)
     }
 
     /// The absolute instant of tick `n`.

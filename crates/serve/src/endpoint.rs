@@ -5,6 +5,8 @@
 //! with its current state behind the object-safe [`SessionEndpoint`]
 //! trait: `apply_recv` feeds a delivered packet as a `recv` input, `step`
 //! fires the unique enabled local action and reports its visible effect.
+//! Both transition the state in place through [`Automaton::apply`], so a
+//! step costs no copy of the receiver's state.
 //! The single-enabled-action determinism check mirrors the real-time
 //! driver and the simulator exactly — a shard must not weaken the model
 //! just because it runs many sessions.
@@ -68,13 +70,11 @@ where
     A::State: Send + StateCodec,
 {
     fn apply_recv(&mut self, packet: Packet) -> Result<(), NetError> {
-        self.state = self
-            .automaton
-            .step(&self.state, &RstpAction::Recv(packet))
+        self.automaton
+            .apply(&mut self.state, &RstpAction::Recv(packet))
             .map_err(|e| NetError::Automaton {
                 what: e.to_string(),
-            })?;
-        Ok(())
+            })
     }
 
     fn step(&mut self) -> Result<StepEffect, NetError> {
@@ -88,12 +88,11 @@ where
                 })
             }
         };
-        self.state =
-            self.automaton
-                .step(&self.state, &action)
-                .map_err(|e| NetError::Automaton {
-                    what: e.to_string(),
-                })?;
+        self.automaton
+            .apply(&mut self.state, &action)
+            .map_err(|e| NetError::Automaton {
+                what: e.to_string(),
+            })?;
         Ok(match action {
             RstpAction::Send(p) => StepEffect::Sent(p),
             RstpAction::Write(m) => {

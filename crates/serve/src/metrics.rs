@@ -55,6 +55,10 @@ pub struct ShardReport {
     pub completed: u64,
     /// Sessions still open when the shard stopped.
     pub unfinished: u64,
+    /// Iterations of the shard loop: one per wake at a wheel deadline
+    /// (or per idle gap when no session is live). Ingress never adds
+    /// one: frames wait in the queue for their session's next step.
+    pub wakes: u64,
     /// Wake-ups later than their deadline by more than the slack.
     pub deadline_misses: u64,
     /// Observed per-session step gaps outside `[c1·tick − slack, c2·tick + slack]`.
@@ -112,6 +116,7 @@ impl ShardReport {
             admitted: 0,
             completed: 0,
             unfinished: 0,
+            wakes: 0,
             deadline_misses: 0,
             timing_violations: 0,
             ingress_overflow: 0,

@@ -11,6 +11,14 @@
 //! mirrors `rstp_net`'s single-session driver exactly, deadline by
 //! deadline, so a 256-session swarm is held to the same `[c1, c2]`
 //! standard as a lone endpoint.
+//!
+//! The shard wakes only at deadlines. It sleeps to the wheel's next one
+//! through [`TickClock::sleep_until`], drains its queue without
+//! blocking, and fires what is due. Ingress never wakes it: in the
+//! paper's model a delivered packet is a `recv` input applied at the
+//! receiver's next local step, so a frame has nothing to do before its
+//! session's deadline. The queue therefore has to hold one tick plus
+//! the wake's lateness worth of the shard's ingress.
 
 use crate::endpoint::{receiver_endpoint, SessionEndpoint, StepEffect};
 use crate::metrics::{SessionStats, ShardReport};
@@ -25,7 +33,7 @@ use rstp_net::{
 use rstp_record::{Event, ShardRecorder};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -187,21 +195,17 @@ pub(crate) fn run_shard(
     let now_tick = |clock: &TickClock| clock.now_micros() / tick_micros;
 
     'run: loop {
-        // Sleep until the next deadline (or new work arrives). The
-        // channel doubles as the wake-up: one blocking point serves both
-        // ingress and pacing.
-        let timeout = match wheel.next_due() {
-            Some(t) => clock
-                .instant_of_tick(t)
-                .saturating_duration_since(Instant::now()),
-            None => sp.tick * u32::try_from(gap_ticks).unwrap_or(u32::MAX),
-        };
-        let mut first = match rx.recv_timeout(timeout) {
-            Ok(msg) => Some(msg),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break 'run,
-        };
-        while let Some(msg) = first.take() {
+        // Sleep to the next deadline, or one gap when no session is live
+        // (see the module doc for why ingress does not wake the shard).
+        let target = wheel.next_due().unwrap_or(wheel.now() + gap_ticks);
+        clock.sleep_until(clock.instant_of_tick(target));
+        report.wakes += 1;
+        loop {
+            let msg = match rx.try_recv() {
+                Ok(msg) => msg,
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => break 'run,
+            };
             match msg {
                 ShardMsg::Admit(spec) => {
                     let endpoint = receiver_endpoint(spec.kind, sp.params, spec.n)?;
@@ -253,8 +257,8 @@ pub(crate) fn run_shard(
                             live.pending.push_back(frame);
                         }
                     } else if let Some(ghost) = retired.get_mut(&id.raw()) {
-                        // A duplicate for a completed session: re-ack
-                        // event-driven. The session has no deadlines
+                        // A duplicate for a completed session: re-ack it
+                        // at this wake. The session has no deadlines
                         // left, and answering a retransmission is the
                         // channel's business, not the [c1, c2] step
                         // schedule's. A ghost must never take down the
@@ -358,12 +362,12 @@ pub(crate) fn run_shard(
                 }
                 ShardMsg::Shutdown => break 'run,
             }
-            first = rx.try_recv().ok();
         }
 
         // Handover housekeeping: resend unacked snapshots (capped
         // exponential backoff, then local resume) and drop provisional
         // adoptions whose REDIRECT never came.
+        let now = now_tick(&clock);
         sweep_handover(
             &sp,
             &pump,
@@ -373,12 +377,12 @@ pub(crate) fn run_shard(
             &mut wheel,
             &mut pending_handover,
             &mut provisional,
-            now_tick(&clock),
+            now,
             gap_ticks,
         );
 
         // Fire every deadline up to now.
-        wheel.advance(now_tick(&clock), &mut due);
+        wheel.advance(now, &mut due);
         for (due_tick, idx) in due.drain(..) {
             let Some(live) = sessions.get_mut(idx).and_then(Option::as_mut) else {
                 continue;
@@ -397,7 +401,10 @@ pub(crate) fn run_shard(
             // wake is one deadline miss and poisons the adjacent gap
             // measurements; a punctual wake's distance from the previous
             // punctual wake must sit inside [c1·tick − slack, c2·tick + slack].
+            // This is the deadline's only clock read: every stamp of the
+            // step below is taken from it.
             let wake = Instant::now();
+            let wake_micros = clock.micros_at(wake);
             let overshoot = wake.saturating_duration_since(clock.instant_of_tick(due_tick));
             let late = overshoot > sp.slack;
             if late {
@@ -411,14 +418,14 @@ pub(crate) fn run_shard(
             live.prev_wake = (!late).then_some(wake);
             if let Some(r) = &recorder {
                 r.record(Event::WheelPop {
-                    at_micros: clock.now_micros(),
+                    at_micros: wake_micros,
                     session: live.spec.id.raw(),
                     due_tick,
                     late,
                 });
                 if late {
                     r.record(Event::DeadlineMiss {
-                        at_micros: clock.now_micros(),
+                        at_micros: wake_micros,
                         session: live.spec.id.raw(),
                         due_tick,
                     });
@@ -442,7 +449,7 @@ pub(crate) fn run_shard(
                         live.spec.id,
                     );
                     r.record(Event::Rx {
-                        at_micros: clock.now_micros(),
+                        at_micros: wake_micros,
                         session: live.spec.id.raw(),
                         wire: wire.to_vec(),
                     });
@@ -450,7 +457,7 @@ pub(crate) fn run_shard(
                 live.endpoint.apply_recv(frame.packet)?;
                 report
                     .latency
-                    .record(clock.now_micros().saturating_sub(frame.sent_at_micros));
+                    .record(wake_micros.saturating_sub(frame.sent_at_micros));
                 live.recvs += 1;
                 report.frames_received += 1;
             }
@@ -464,13 +471,12 @@ pub(crate) fn run_shard(
             let mut productive = received_any;
             match effect {
                 StepEffect::Sent(p) => {
-                    let stamp = clock.now_micros();
-                    let bytes = live
-                        .codec
-                        .encode_with_session(p, live.seq, stamp, live.spec.id);
+                    let bytes =
+                        live.codec
+                            .encode_with_session(p, live.seq, wake_micros, live.spec.id);
                     if let Some(r) = &recorder {
                         r.record(Event::Tx {
-                            at_micros: stamp,
+                            at_micros: wake_micros,
                             session: live.spec.id.raw(),
                             wire: bytes.to_vec(),
                         });
@@ -488,7 +494,7 @@ pub(crate) fn run_shard(
                         // loss oracle can check Y's *content* prefix
                         // across a crash, not just its length.
                         r.record(Event::Write {
-                            at_micros: clock.now_micros(),
+                            at_micros: wake_micros,
                             session: live.spec.id.raw(),
                             written: live.endpoint.written().len() as u64,
                             bit: m,
@@ -517,7 +523,7 @@ pub(crate) fn run_shard(
                     let stats = done.stats(true);
                     if let Some(r) = &recorder {
                         r.record_durable(Event::Verdict {
-                            at_micros: clock.now_micros(),
+                            at_micros: wake_micros,
                             session: stats.id.raw(),
                             completed: true,
                             written: stats.written.clone(),
@@ -538,7 +544,7 @@ pub(crate) fn run_shard(
             // re-anchor from now rather than replaying missed deadlines
             // back-to-back faster than c1.
             let mut next = due_tick + gap_ticks;
-            let now = now_tick(&clock);
+            let now = wake_micros / tick_micros;
             if now > next + gap_ticks {
                 next = now;
                 live.prev_wake = None;
@@ -911,5 +917,98 @@ fn inject_defer(live: &mut Live, delta2: u64) {
         if let Some(frame) = live.pending.remove(pos) {
             live.defer = Some((0, frame));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rstp_core::Packet;
+    use rstp_net::ProtocolId;
+    use rstp_sim::ProtocolKind;
+    use std::sync::mpsc::{channel, sync_channel};
+    use std::thread;
+
+    struct Discard;
+
+    impl EgressSink for Discard {
+        fn send_batch(&mut self, frames: &[(u32, FrameBuf)]) -> Result<usize, NetError> {
+            Ok(frames.len())
+        }
+    }
+
+    /// Runs one paced β(4) session on a shard for `span`, delivering
+    /// `frames` frames spread evenly over it, and returns the report.
+    fn run_one_session(span: Duration, frames: u32) -> ShardReport {
+        let tick = Duration::from_millis(1);
+        let sp = ShardParams {
+            index: 0,
+            params: TimingParams::from_ticks(1, 2, 8).expect("valid"),
+            tick,
+            pace: Pace::Slow,
+            slack: Duration::from_micros(500),
+            grace_ticks: 8,
+            batch: 16,
+        };
+        let clock = TickClock::start(tick);
+        let (tx, rx) = sync_channel(4096);
+        let (pump, _pump_rx) = channel();
+        let shard = thread::spawn(move || {
+            run_shard(
+                sp,
+                clock,
+                rx,
+                Box::new(Discard),
+                Arc::new(AtomicU64::new(0)),
+                None,
+                pump,
+            )
+        });
+        let id = SessionId::new(1);
+        let kind = ProtocolKind::Beta { k: 4 };
+        tx.send(ShardMsg::Admit(SessionSpec { id, kind, n: 8 }))
+            .expect("admit");
+        let start = Instant::now();
+        for i in 0..frames {
+            let due = start + span * i / frames;
+            thread::sleep(due.saturating_duration_since(Instant::now()));
+            // Out of β(4)'s alphabet: the receiver absorbs it as a decode
+            // failure, so the session never completes and stays paced.
+            let frame = Frame {
+                protocol: ProtocolId::Beta,
+                k: 4,
+                packet: Packet::Data(99),
+                seq: u64::from(i),
+                sent_at_micros: clock.now_micros(),
+                session: Some(id),
+            };
+            tx.send(ShardMsg::Frame(id, frame)).expect("frame");
+        }
+        thread::sleep((start + span).saturating_duration_since(Instant::now()));
+        tx.send(ShardMsg::Shutdown).expect("shutdown");
+        shard.join().expect("shard thread").expect("shard report")
+    }
+
+    #[test]
+    fn ingress_does_not_wake_the_shard() {
+        // The same paced session twice over the same span: once quiet,
+        // once flooded with frames between its deadlines. The shard wakes
+        // at deadlines only, so the flood must not add wakes.
+        let span = Duration::from_millis(80);
+        let quiet = run_one_session(span, 0);
+        let flooded = run_one_session(span, 800);
+        // Frames still queued at shutdown are never applied.
+        assert!(
+            flooded.frames_received >= 400,
+            "{}",
+            flooded.frames_received
+        );
+        assert!(quiet.wakes > 0);
+        assert!(
+            flooded.wakes <= quiet.wakes + quiet.wakes / 2 + 4,
+            "wakes grew with ingress: {} quiet, {} flooded with 800 frames",
+            quiet.wakes,
+            flooded.wakes
+        );
     }
 }

@@ -49,6 +49,9 @@ struct Entry<T> {
 pub struct TimerWheel<T> {
     /// `levels[l][s]` holds entries due in that slot's span.
     levels: Vec<Vec<Vec<Entry<T>>>>,
+    /// Bit `s` of `occupied[l]` is set exactly when `levels[l][s]` holds
+    /// an entry, so [`next_due`](Self::next_due) scans slots, not entries.
+    occupied: [u64; LEVELS],
     /// Entries beyond the top level's horizon.
     overflow: Vec<Entry<T>>,
     /// Entries scheduled at or before `now` — returned by the next
@@ -68,6 +71,7 @@ impl<T: Copy> TimerWheel<T> {
             levels: (0..LEVELS)
                 .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
                 .collect(),
+            occupied: [0; LEVELS],
             overflow: Vec::new(),
             overdue: Vec::new(),
             now: 0,
@@ -118,6 +122,9 @@ impl<T: Copy> TimerWheel<T> {
                 let slot = (entry.due_tick / slot_span(level)) as usize % SLOTS;
                 if let Some(entries) = self.slot_mut(level, slot) {
                     entries.push(entry);
+                    if let Some(bits) = self.occupied.get_mut(level) {
+                        *bits |= 1 << slot;
+                    }
                     return;
                 }
             }
@@ -146,10 +153,7 @@ impl<T: Copy> TimerWheel<T> {
             for level in 1..LEVELS {
                 if tick % slot_span(level) == 0 {
                     let slot = (tick / slot_span(level)) as usize % SLOTS;
-                    let entries = self
-                        .slot_mut(level, slot)
-                        .map(std::mem::take)
-                        .unwrap_or_default();
+                    let entries = self.take_slot(level, slot);
                     for e in entries {
                         if e.due_tick <= self.now {
                             self.len -= 1;
@@ -171,11 +175,7 @@ impl<T: Copy> TimerWheel<T> {
                     }
                 }
             }
-            let slot = tick as usize % SLOTS;
-            let entries = self
-                .slot_mut(0, slot)
-                .map(std::mem::take)
-                .unwrap_or_default();
+            let entries = self.take_slot(0, tick as usize % SLOTS);
             for e in entries {
                 // A level-0 slot only holds entries within one lap, and we
                 // visit every tick, so everything here is due exactly now.
@@ -194,27 +194,46 @@ impl<T: Copy> TimerWheel<T> {
         self.levels.get_mut(level)?.get_mut(slot)
     }
 
-    /// The earliest scheduled deadline, or `None` when empty. O(wheel)
-    /// scan — called once per shard loop to size the sleep, not per
-    /// session, so linearity in the slot count is fine.
+    /// Empties one slot, clearing its occupancy bit.
+    fn take_slot(&mut self, level: usize, slot: usize) -> Vec<Entry<T>> {
+        if let Some(bits) = self.occupied.get_mut(level) {
+            *bits &= !(1 << slot);
+        }
+        self.slot_mut(level, slot)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// The earliest scheduled deadline, or `None` when empty.
+    ///
+    /// Each level contributes the earliest entry of its first occupied
+    /// slot in due order, found from the occupancy bitmap: the slots
+    /// after the level's current one come first, and the current one
+    /// last (it can only hold entries a full lap ahead). The overdue and
+    /// overflow lists are scanned whole; both are empty in steady state.
     #[must_use]
     pub fn next_due(&self) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        let mut consider = |d: u64| {
-            best = Some(best.map_or(d, |b: u64| b.min(d)));
-        };
-        for e in &self.overdue {
-            consider(e.due_tick);
-        }
-        for level in &self.levels {
-            for slot in level {
-                for e in slot {
-                    consider(e.due_tick);
-                }
+        let mut best = self
+            .overdue
+            .iter()
+            .chain(&self.overflow)
+            .map(|e| e.due_tick)
+            .min();
+        for (level, &bits) in self.occupied.iter().enumerate() {
+            if bits == 0 {
+                continue;
             }
-        }
-        for e in &self.overflow {
-            consider(e.due_tick);
+            let start = (self.now / slot_span(level) + 1) as usize % SLOTS;
+            let slot = (start + bits.rotate_right(start as u32).trailing_zeros() as usize) % SLOTS;
+            let first = self
+                .levels
+                .get(level)
+                .and_then(|l| l.get(slot))
+                .and_then(|entries| entries.iter().map(|e| e.due_tick).min());
+            best = match (best, first) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
         }
         best
     }
@@ -303,6 +322,11 @@ mod tests {
                 w.schedule(due, token);
                 model.entry(due).or_default().push(token);
                 token += 1;
+                assert_eq!(
+                    w.next_due(),
+                    model.keys().next().copied(),
+                    "next_due diverged after schedule at now={now}"
+                );
             }
             // Advance by an uneven stride, sometimes crossing boundaries.
             now += 1 + next() % (if round % 5 == 0 { 10_000 } else { 97 });
@@ -326,6 +350,11 @@ mod tests {
             fired_sorted.sort_unstable();
             expected.sort_unstable();
             assert_eq!(fired_sorted, expected, "divergence at now={now}");
+            assert_eq!(
+                w.next_due(),
+                model.keys().next().copied(),
+                "next_due diverged after advance to {now}"
+            );
         }
         // Drain everything left and check emptiness agreement.
         let mut fired = Vec::new();
@@ -429,6 +458,20 @@ mod tests {
         assert_eq!(w.next_due(), Some(500));
         drain_to(&mut w, 500);
         assert_eq!(w.next_due(), Some(70_000));
+    }
+
+    #[test]
+    fn next_due_visits_the_current_slot_last() {
+        // At tick 50 a level-1 deadline one lap ahead (4110) shares the
+        // current level-1 slot; an earlier level-1 deadline (200) sits in
+        // a later slot and must win.
+        let mut w = TimerWheel::new();
+        drain_to(&mut w, 50);
+        w.schedule(4110, 1u32);
+        assert_eq!(w.next_due(), Some(4110));
+        w.schedule(200, 2u32);
+        assert_eq!(w.next_due(), Some(200));
+        assert_eq!(drain_to(&mut w, 4110), vec![(200, 2), (4110, 1)]);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 use std::fmt;
 
 use rstp_core::TimingParams;
-use rstp_sim::{CorruptionSpec, PacketFate, ProtocolKind, ScriptedDelivery};
+use rstp_sim::{CorruptionSpec, PacketFate, ScriptedDelivery};
 
 use crate::scenario::Scenario;
 
@@ -81,30 +81,6 @@ impl fmt::Display for ReproError {
 impl std::error::Error for ReproError {}
 
 const HEADER: &str = "rstp-check repro v1";
-
-fn kind_token(kind: ProtocolKind) -> String {
-    match kind {
-        ProtocolKind::Alpha => "alpha".into(),
-        ProtocolKind::Beta { k } => format!("beta k={k}"),
-        ProtocolKind::Gamma { k } => format!("gamma k={k}"),
-        ProtocolKind::AltBit { timeout_steps } => match timeout_steps {
-            Some(t) => format!("altbit timeout={t}"),
-            None => "altbit timeout=none".into(),
-        },
-        ProtocolKind::Framed { k } => format!("framed k={k}"),
-        ProtocolKind::BetaWindow { k } => format!("beta-window k={k}"),
-        ProtocolKind::Stenning { timeout_steps } => match timeout_steps {
-            Some(t) => format!("stenning timeout={t}"),
-            None => "stenning timeout=none".into(),
-        },
-        ProtocolKind::Pipelined { k, window } => format!("pipelined k={k} w={window}"),
-        ProtocolKind::StabStenning { timeout_steps } => match timeout_steps {
-            Some(t) => format!("stab-stenning timeout={t}"),
-            None => "stab-stenning timeout=none".into(),
-        },
-        ProtocolKind::StabBeta { k } => format!("stab-beta k={k}"),
-    }
-}
 
 fn fate_token(fate: PacketFate) -> String {
     match fate {
@@ -150,7 +126,7 @@ pub fn render_repro(repro: &Repro) -> String {
          data_fallback = {}\n\
          ack_fallback = {}\n\
          {corruption}",
-        kind_token(s.kind),
+        s.kind.corpus_token(),
         s.params.c1().ticks(),
         s.params.c2().ticks(),
         s.params.d().ticks(),
@@ -195,68 +171,6 @@ fn parse_u64(line: usize, what: &str, token: &str) -> Result<u64, ReproError> {
         line,
         message: format!("{what}: expected an integer, got `{token}`"),
     })
-}
-
-fn parse_kind(line: usize, value: &str) -> Result<ProtocolKind, ReproError> {
-    let mut words = value.split_whitespace();
-    let name = words.next().unwrap_or("");
-    let mut k = None;
-    let mut window = None;
-    let mut timeout: Option<Option<u64>> = None;
-    for word in words {
-        let (key, v) = word.split_once('=').ok_or_else(|| ReproError {
-            line,
-            message: format!("protocol argument `{word}` is not key=value"),
-        })?;
-        match key {
-            "k" => k = Some(parse_u64(line, "protocol k", v)?),
-            "w" => window = Some(parse_u64(line, "protocol w", v)?),
-            "timeout" => {
-                timeout = Some(if v == "none" {
-                    None
-                } else {
-                    Some(parse_u64(line, "protocol timeout", v)?)
-                })
-            }
-            _ => {
-                return Err(ReproError {
-                    line,
-                    message: format!("unknown protocol argument `{key}`"),
-                })
-            }
-        }
-    }
-    let need_k = || {
-        k.ok_or(ReproError {
-            line,
-            message: format!("protocol `{name}` needs k=<n>"),
-        })
-    };
-    match name {
-        "alpha" => Ok(ProtocolKind::Alpha),
-        "beta" => Ok(ProtocolKind::Beta { k: need_k()? }),
-        "gamma" => Ok(ProtocolKind::Gamma { k: need_k()? }),
-        "framed" => Ok(ProtocolKind::Framed { k: need_k()? }),
-        "beta-window" => Ok(ProtocolKind::BetaWindow { k: need_k()? }),
-        "altbit" => Ok(ProtocolKind::AltBit {
-            timeout_steps: timeout.unwrap_or(None),
-        }),
-        "stenning" => Ok(ProtocolKind::Stenning {
-            timeout_steps: timeout.unwrap_or(None),
-        }),
-        "pipelined" => Ok(ProtocolKind::Pipelined {
-            k: need_k()?,
-            window: window.unwrap_or(2),
-        }),
-        "stab-stenning" => Ok(ProtocolKind::StabStenning {
-            timeout_steps: timeout.unwrap_or(None),
-        }),
-        "stab-beta" => Ok(ProtocolKind::StabBeta { k: need_k()? }),
-        other => Err(ReproError {
-            line,
-            message: format!("unknown protocol `{other}`"),
-        }),
-    }
 }
 
 fn parse_fates(line: usize, value: &str) -> Result<Vec<PacketFate>, ReproError> {
@@ -315,7 +229,9 @@ pub fn parse_repro(text: &str) -> Result<Repro, ReproError> {
     let fields = Fields { entries };
 
     let (line, value) = fields.get("protocol")?;
-    let kind = parse_kind(line, value)?;
+    let kind = value
+        .parse()
+        .map_err(|message| ReproError { line, message })?;
 
     let (line, value) = fields.get("params")?;
     let nums: Vec<&str> = value.split_whitespace().collect();
@@ -438,6 +354,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rstp_sim::ProtocolKind;
 
     #[test]
     fn round_trips_every_protocol_kind() {

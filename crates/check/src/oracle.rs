@@ -22,18 +22,13 @@
 use std::fmt;
 use std::time::Duration;
 
-use rstp_core::bounds;
-use rstp_core::protocols::{
-    stab_beta_transmitter, AlphaReceiver, AlphaTransmitter, AltBitReceiver, AltBitTransmitter,
-    BetaReceiver, BetaTransmitter, FramedReceiver, FramedTransmitter, GammaReceiver,
-    GammaTransmitter, PipelinedReceiver, PipelinedTransmitter, StabBetaReceiver,
-    StabStenningReceiver, StabStenningTransmitter, StenningReceiver, StenningTransmitter,
-};
+use rstp_automata::TimeDelta;
+use rstp_core::protocols::{EffortBound, PairVisitor, Receiver, Transmitter};
 use rstp_net::{run_transfer_mem_scripted, DriverOutcome, Pace, TransferConfig};
 use rstp_sim::checker::{check_trace, CheckConfig};
 use rstp_sim::harness::RunConfig;
-use rstp_sim::replay::replay_trace;
-use rstp_sim::{run_corrupted, run_with_adversaries, Outcome, ProtocolKind, SimTrace};
+use rstp_sim::replay::{replay_trace, ReplayError};
+use rstp_sim::{run_corrupted, run_with_adversaries, Outcome, SimTrace};
 
 use crate::scenario::Scenario;
 
@@ -192,11 +187,6 @@ fn corruption_failure(
     quiescent: bool,
     report: &rstp_sim::CorruptionReport,
 ) -> Option<Failure> {
-    use rstp_core::protocols::stabilizing::{
-        stab_beta_bits_per_block, stab_beta_bound, stab_stenning_ack_alphabet, stab_stenning_bound,
-        REG_BETA_R_PENDING_LEN, REG_BETA_T_BLOCK, REG_STAB_R_PENDING_ACK, REG_STAB_T_NEXT,
-    };
-
     if !quiescent {
         return Some(Failure {
             kind: FailureKind::Termination,
@@ -211,60 +201,16 @@ fn corruption_failure(
     let n = input.len();
     let written = trace.written();
 
-    // Per-kind: the completeness floor (how many final messages of `X`
-    // must provably survive the fault), the matched tail length, the
-    // number of stabilization-window garbage writes *preceding* that
-    // tail, and the stabilization-time bound in ticks.
-    let (floor, matched, garbage_writes, bound) = match scenario.kind {
-        ProtocolKind::StabStenning { timeout_steps } => {
-            // Every message from the corrupted `next` on must be delivered,
-            // minus one slot per in-flight packet (a stale or rewritten ack
-            // can fake one advance each), one slot if the corrupted receiver
-            // was loaded with a pending ack (it is sent on its next step and
-            // can tag-alias into a fake advance exactly like a stale one),
-            // and a two-message allowance for the seam itself (one tag-alias
-            // re-ack, one boundary loss).
-            let next_c = report.t_regs[REG_STAB_T_NEXT] as usize;
-            let pending =
-                usize::from(report.r_regs[REG_STAB_R_PENDING_ACK] != stab_stenning_ack_alphabet());
-            let floor = n.saturating_sub(next_c + report.in_flight as usize + pending + 2);
-            let matched = longest_end_aligned_suffix(&written, input);
-            (
-                floor,
-                matched,
-                written.len() - matched,
-                stab_stenning_bound(scenario.params, timeout_steps),
-            )
-        }
-        ProtocolKind::StabBeta { k } => {
-            // The transmitter resumes at block `j0`; its first block may
-            // straddle the corrupted partial burst, stale in-flight symbols
-            // shift the framing, and the receiver's decoded cap can
-            // truncate the tail by the injected garbage — hence the wider
-            // slack. The surviving tail of `X` is contiguous in `written`
-            // but not necessarily at its end: the receiver may flush
-            // bounded leftovers (misframed cap overrun, end-of-run pending
-            // bits) *after* it, so the tail is searched anywhere in the
-            // written word and only the writes before it count as
-            // stabilization-window garbage.
-            let b = stab_beta_bits_per_block(scenario.params, k) as usize;
-            let j0 = report.t_regs[REG_BETA_T_BLOCK] as usize;
-            let pending = report.r_regs[REG_BETA_R_PENDING_LEN] as usize;
-            let floor =
-                n.saturating_sub((j0 + 1) * b + pending + report.in_flight as usize + 2 * b);
-            let (matched, tail_start) = longest_input_tail_occurrence(&written, input);
-            (
-                floor,
-                matched,
-                tail_start,
-                stab_beta_bound(scenario.params, k),
-            )
-        }
-        // `run_corrupted` already rejected every other kind as a model
-        // failure before this oracle runs.
-        _ => return None,
+    // `run_corrupted` already rejected every non-stabilizing kind as a
+    // model failure before this oracle runs.
+    let rule = report.convergence(scenario.kind, scenario.params, n)?;
+    let floor = rule.floor;
+    let (matched, garbage_writes) = if rule.tail_at_end {
+        let matched = longest_end_aligned_suffix(&written, input);
+        (matched, written.len() - matched)
+    } else {
+        longest_input_tail_occurrence(&written, input)
     };
-
     if matched < floor {
         return Some(Failure {
             kind: FailureKind::Convergence,
@@ -281,7 +227,7 @@ fn corruption_failure(
     let applied_at = report
         .applied_at
         .expect("oracle runs only on applied faults");
-    let deadline = applied_at + rstp_automata::TimeDelta::from_ticks(bound);
+    let deadline = applied_at + TimeDelta::from_ticks(rule.bound_ticks);
     if garbage_writes > 0 {
         let last_garbage = trace
             .events()
@@ -295,7 +241,7 @@ fn corruption_failure(
                 detail: format!(
                     "last divergent write at {}, bound allows {} ticks after the fault at {} \
                      ({report})",
-                    last_garbage.time, bound, applied_at
+                    last_garbage.time, rule.bound_ticks, applied_at
                 ),
             });
         }
@@ -384,15 +330,14 @@ fn first_failure(
 }
 
 /// Compares measured effort against the protocol's universal worst-case
-/// bound. Only `A^α`/`A^β`/`A^γ` have closed forms; other kinds pass.
+/// bound: `A^α`'s exact closed form or the §6 finite-`n` guarantee.
+/// Kinds the protocol table gives no such bound pass.
 fn effort_failure(scenario: &Scenario, metrics: &rstp_sim::RunMetrics) -> Option<Failure> {
     let n = scenario.input.len();
     let effort = metrics.effort(n)?;
-    let bound = match scenario.kind {
-        ProtocolKind::Alpha => bounds::alpha_effort(scenario.params),
-        ProtocolKind::Beta { k } => bounds::passive_upper_finite(scenario.params, k, n),
-        ProtocolKind::Gamma { k } => bounds::active_upper_finite(scenario.params, k, n),
-        _ => return None,
+    let bound = match scenario.kind.effort_bound(scenario.params, n)? {
+        EffortBound::Exact(bound) => bound,
+        EffortBound::Range { upper, .. } => upper?.finite,
     };
     // Small epsilon so f64 rounding in the closed forms never false-alarms.
     if effort > bound + 1e-9 {
@@ -412,86 +357,27 @@ fn replay_failure(scenario: &Scenario, trace: &SimTrace) -> Option<Failure> {
     if !scenario.is_fault_free() {
         return None;
     }
-    let p = scenario.params;
-    let input = scenario.input.clone();
-    let result = match scenario.kind {
-        ProtocolKind::Alpha => {
-            replay_trace(AlphaTransmitter::new(p, input), AlphaReceiver::new(), trace)
-                .map(|_| ())
-                .map_err(|e| e.to_string())
+    struct Replay<'a>(&'a SimTrace);
+    impl PairVisitor for Replay<'_> {
+        type Output = Result<(), ReplayError>;
+        fn visit<T: Transmitter, R: Receiver>(self, t: T, r: R) -> Self::Output {
+            replay_trace(t, r, self.0).map(|_| ())
         }
-        ProtocolKind::Beta { k } => build_and_replay(trace, || {
-            Ok((
-                BetaTransmitter::new(p, k, &input)?,
-                BetaReceiver::new(p, k, input.len())?,
-            ))
-        }),
-        ProtocolKind::Gamma { k } => build_and_replay(trace, || {
-            Ok((
-                GammaTransmitter::new(p, k, &input)?,
-                GammaReceiver::new(p, k, input.len())?,
-            ))
-        }),
-        ProtocolKind::AltBit { timeout_steps } => replay_trace(
-            AltBitTransmitter::new(p, input, timeout_steps),
-            AltBitReceiver::new(),
-            trace,
-        )
-        .map(|_| ())
-        .map_err(|e| e.to_string()),
-        ProtocolKind::Framed { k } => build_and_replay(trace, || {
-            Ok((
-                FramedTransmitter::new(p, k, &input)?,
-                FramedReceiver::new(p, k)?,
-            ))
-        }),
-        ProtocolKind::Stenning { timeout_steps } => replay_trace(
-            StenningTransmitter::new(p, input, timeout_steps),
-            StenningReceiver::new(),
-            trace,
-        )
-        .map(|_| ())
-        .map_err(|e| e.to_string()),
-        ProtocolKind::Pipelined { k, window } => build_and_replay(trace, || {
-            Ok((
-                PipelinedTransmitter::with_window(p, k, window, &input)?,
-                PipelinedReceiver::with_window(p, k, window, input.len())?,
-            ))
-        }),
-        ProtocolKind::StabStenning { timeout_steps } => replay_trace(
-            StabStenningTransmitter::new(p, input, timeout_steps),
-            StabStenningReceiver::new(),
-            trace,
-        )
-        .map(|_| ())
-        .map_err(|e| e.to_string()),
-        ProtocolKind::StabBeta { k } => build_and_replay(trace, || {
-            Ok((
-                stab_beta_transmitter(p, k, &input)?,
-                StabBetaReceiver::new(p, k, input.len())?,
-            ))
-        }),
-        // BetaWindow needs a d_lo > 0 regime the fuzzer does not target.
-        ProtocolKind::BetaWindow { .. } => Ok(()),
+    }
+    let detail = match scenario.kind.with_pair(
+        scenario.params,
+        TimeDelta::ZERO,
+        &scenario.input,
+        Replay(trace),
+    ) {
+        Ok(Ok(())) => return None,
+        Ok(Err(e)) => e.to_string(),
+        Err(e) => e.to_string(),
     };
-    result.err().map(|detail| Failure {
+    Some(Failure {
         kind: FailureKind::Replay,
         detail,
     })
-}
-
-fn build_and_replay<T, R>(
-    trace: &SimTrace,
-    build: impl FnOnce() -> Result<(T, R), rstp_core::ProtocolError>,
-) -> Result<(), String>
-where
-    T: rstp_automata::Automaton<Action = rstp_core::RstpAction>,
-    R: rstp_automata::Automaton<Action = rstp_core::RstpAction>,
-{
-    let (t, r) = build().map_err(|e| e.to_string())?;
-    replay_trace(t, r, trace)
-        .map(|_| ())
-        .map_err(|e| e.to_string())
 }
 
 /// Runs the scenario a second time in wall-clock over `MemTransport` with
@@ -508,7 +394,7 @@ pub fn differential_failure(
     // cannot script a mid-run register overwrite.
     if !scenario.is_fault_free()
         || scenario.corruption.is_some()
-        || matches!(scenario.kind, ProtocolKind::BetaWindow { .. })
+        || scenario.kind.wire_id().is_none()
     {
         return None;
     }
@@ -553,7 +439,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rstp_core::TimingParams;
+    use rstp_core::{ProtocolKind, TimingParams};
 
     fn params() -> TimingParams {
         TimingParams::from_ticks(1, 2, 6).unwrap()

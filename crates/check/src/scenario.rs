@@ -44,21 +44,6 @@ pub struct Scenario {
     pub corruption: Option<CorruptionSpec>,
 }
 
-/// Whether the protocol tolerates injected loss and duplication, so the
-/// generator may script faulty fates for it.
-fn tolerates_faults(kind: ProtocolKind) -> bool {
-    matches!(kind, ProtocolKind::Stenning { .. })
-}
-
-/// Whether the protocol recovers from arbitrary state corruption, so the
-/// generator may script a mid-run corruption for it.
-fn stabilizes(kind: ProtocolKind) -> bool {
-    matches!(
-        kind,
-        ProtocolKind::StabStenning { .. } | ProtocolKind::StabBeta { .. }
-    )
-}
-
 fn random_fate(rng: &mut StdRng, d: u64, faults: bool) -> PacketFate {
     if faults && rng.gen_bool(0.12) {
         return PacketFate::Drop;
@@ -82,7 +67,7 @@ impl Scenario {
         let c1 = params.c1().ticks();
         let c2 = params.c2().ticks();
         let d = params.d().ticks();
-        let faults = tolerates_faults(kind);
+        let faults = kind.tolerates_faults();
 
         let n = rng.gen_range(1..=max_input.max(1));
         let input: Vec<Message> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
@@ -100,7 +85,7 @@ impl Scenario {
         let ack_fates: Vec<PacketFate> =
             (0..ack_len).map(|_| random_fate(rng, d, faults)).collect();
 
-        let corruption = if stabilizes(kind) && rng.gen_bool(0.7) {
+        let corruption = if kind.is_stabilizing() && rng.gen_bool(0.7) {
             Some(CorruptionSpec {
                 at_event: rng.gen_range(0..=(20 * n as u64)),
                 seed: rng.next_u64(),
@@ -129,11 +114,15 @@ impl Scenario {
         let c1 = self.params.c1().ticks();
         let c2 = self.params.c2().ticks();
         let d = self.params.d().ticks();
-        let faults = tolerates_faults(self.kind);
+        let faults = self.kind.tolerates_faults();
         let mut s = self.clone();
         let edits = rng.gen_range(1..=3u32);
         for _ in 0..edits {
-            let arms = if stabilizes(self.kind) { 9u32 } else { 8u32 };
+            let arms = if self.kind.is_stabilizing() {
+                9u32
+            } else {
+                8u32
+            };
             match rng.gen_range(0..arms) {
                 0 => {
                     let i = rng.gen_range(0..s.input.len());

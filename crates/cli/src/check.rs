@@ -21,7 +21,7 @@ use std::fs;
 use std::path::Path;
 
 use crate::args::{ArgError, Args};
-use crate::commands::timing;
+use crate::commands::{protocol_named, timing};
 use rstp_bench::json::Json;
 use rstp_check::{
     fuzz, parse_repro, render_repro, run_scenario, shrink, Expectation, FoundFailure, FuzzConfig,
@@ -161,8 +161,6 @@ fn campaign_json(
 /// The protocols a campaign covers: `--protocol` if given, else the
 /// paper's trio.
 fn fuzz_targets(args: &Args) -> Result<Vec<ProtocolKind>, ArgError> {
-    let k = args.get_u64("k", 4)?;
-    let window = args.get_u64("window", 2)?.max(1);
     let timeout =
         match args.get("timeout") {
             None | Some("none") => None,
@@ -170,32 +168,13 @@ fn fuzz_targets(args: &Args) -> Result<Vec<ProtocolKind>, ArgError> {
                 ArgError(format!("--timeout expects an integer or `none`, got {v:?}"))
             })?),
         };
-    match args.get("protocol") {
-        None => Ok(vec![
-            ProtocolKind::Alpha,
-            ProtocolKind::Beta { k },
-            ProtocolKind::Gamma { k },
-        ]),
-        Some("alpha") => Ok(vec![ProtocolKind::Alpha]),
-        Some("beta") => Ok(vec![ProtocolKind::Beta { k }]),
-        Some("gamma") => Ok(vec![ProtocolKind::Gamma { k }]),
-        Some("altbit") => Ok(vec![ProtocolKind::AltBit {
-            timeout_steps: timeout,
-        }]),
-        Some("framed") => Ok(vec![ProtocolKind::Framed { k }]),
-        Some("stenning") => Ok(vec![ProtocolKind::Stenning {
-            timeout_steps: timeout,
-        }]),
-        Some("pipelined") => Ok(vec![ProtocolKind::Pipelined { k, window }]),
-        Some("stab-stenning") => Ok(vec![ProtocolKind::StabStenning {
-            timeout_steps: timeout,
-        }]),
-        Some("stab-beta") => Ok(vec![ProtocolKind::StabBeta { k }]),
-        Some(other) => Err(ArgError(format!(
-            "unknown protocol {other:?} \
-             (alpha|beta|gamma|altbit|stenning|framed|pipelined|stab-stenning|stab-beta)"
-        ))),
-    }
+    let names = args
+        .get("protocol")
+        .map_or(vec!["alpha", "beta", "gamma"], |name| vec![name]);
+    names
+        .into_iter()
+        .map(|name| protocol_named(args, name, timeout))
+        .collect()
 }
 
 fn render_report(out: &mut String, report: &FuzzReport) {

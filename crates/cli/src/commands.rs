@@ -3,10 +3,11 @@
 
 use crate::args::{parse_bits, ArgError, Args};
 use core::fmt::Write as _;
-use rstp_core::{bounds, TimingParams};
+use rstp_core::protocols::EffortBound;
+use rstp_core::{bounds, ProtocolKind, TimingParams};
 use rstp_sim::adversary::{DeliveryPolicy, StepPolicy};
 use rstp_sim::distinguish;
-use rstp_sim::harness::{random_input, run_configured, worst_case_effort, ProtocolKind, RunConfig};
+use rstp_sim::harness::{random_input, run_configured, worst_case_effort, RunConfig};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -66,29 +67,25 @@ pub(crate) fn timing(args: &Args) -> Result<TimingParams, ArgError> {
     TimingParams::from_ticks(c1, c2, d).map_err(|e| ArgError(e.to_string()))
 }
 
-pub(crate) fn protocol(args: &Args) -> Result<ProtocolKind, ArgError> {
+/// The kind named `name`, with `--k`/`--window` applied; `timeout_steps`
+/// reaches the timeout-driven families.
+pub(crate) fn protocol_named(
+    args: &Args,
+    name: &str,
+    timeout_steps: Option<u64>,
+) -> Result<ProtocolKind, ArgError> {
     let k = args.get_u64("k", 4)?;
     let window = args.get_u64("window", 2)?.max(1);
-    match args.get("protocol").unwrap_or("beta") {
-        "alpha" => Ok(ProtocolKind::Alpha),
-        "beta" => Ok(ProtocolKind::Beta { k }),
-        "gamma" => Ok(ProtocolKind::Gamma { k }),
-        "altbit" => Ok(ProtocolKind::AltBit {
-            timeout_steps: None,
-        }),
-        "framed" => Ok(ProtocolKind::Framed { k }),
-        "stenning" => Ok(ProtocolKind::Stenning {
-            timeout_steps: None,
-        }),
-        "pipelined" => Ok(ProtocolKind::Pipelined { k, window }),
-        "stab-stenning" => Ok(ProtocolKind::StabStenning {
-            timeout_steps: None,
-        }),
-        "stab-beta" => Ok(ProtocolKind::StabBeta { k }),
-        other => Err(ArgError(format!(
-            "unknown protocol {other:?} (alpha|beta|gamma|altbit|stenning|framed|pipelined|stab-stenning|stab-beta)"
-        ))),
-    }
+    ProtocolKind::from_name(name, Some(k), Some(window), timeout_steps).map_err(|_| {
+        ArgError(format!(
+            "unknown protocol {name:?} (alpha|beta|gamma|altbit|stenning|framed|pipelined|stab-stenning|stab-beta)"
+        ))
+    })
+}
+
+/// The `--protocol` kind (default `beta`).
+pub(crate) fn protocol(args: &Args) -> Result<ProtocolKind, ArgError> {
+    protocol_named(args, args.get("protocol").unwrap_or("beta"), None)
 }
 
 fn step_policy(args: &Args) -> Result<StepPolicy, ArgError> {
@@ -124,7 +121,7 @@ fn delivery_policy(
     }
 }
 
-fn input_of(args: &Args) -> Result<Vec<bool>, ArgError> {
+pub(crate) fn input_of(args: &Args) -> Result<Vec<bool>, ArgError> {
     if let Some(bits) = args.get("input") {
         parse_bits(bits)
     } else {
@@ -253,30 +250,25 @@ pub fn cmd_effort(args: &Args) -> Result<String, ArgError> {
         "achieved by : {:?} steps, {:?} delivery",
         sample.step, sample.delivery
     );
-    let k = args.get_u64("k", 4)?;
-    match kind {
-        ProtocolKind::Beta { .. } | ProtocolKind::Framed { .. } => {
-            let _ = writeln!(
-                s,
-                "bounds      : [{:.3}, {:.3}] (Thm 5.3 / §6.1, finite-n {:.3})",
-                bounds::passive_lower(params, k),
-                bounds::passive_upper(params, k),
-                bounds::passive_upper_finite(params, k, n)
-            );
+    match kind.effort_bound(params, n) {
+        Some(EffortBound::Exact(effort)) => {
+            let _ = writeln!(s, "closed form : {effort:.3}");
         }
-        ProtocolKind::Gamma { .. } => {
-            let _ = writeln!(
-                s,
-                "bounds      : [{:.3}, {:.3}] (Thm 5.6 / §6.2, finite-n {:.3})",
-                bounds::active_lower(params, k),
-                bounds::active_upper(params, k),
-                bounds::active_upper_finite(params, k, n)
-            );
+        Some(EffortBound::Range {
+            lower,
+            theorem,
+            upper,
+        }) => {
+            let _ = match upper {
+                Some(u) => writeln!(
+                    s,
+                    "bounds      : [{lower:.3}, {:.3}] ({theorem} / {}, finite-n {:.3})",
+                    u.asymptotic, u.section, u.finite
+                ),
+                None => writeln!(s, "lower bound : {lower:.3} ({theorem})"),
+            };
         }
-        ProtocolKind::Alpha => {
-            let _ = writeln!(s, "closed form : {:.3}", bounds::alpha_effort(params));
-        }
-        _ => {}
+        None => {}
     }
     Ok(s)
 }

@@ -7,15 +7,16 @@
 //! * `net send` / `net recv` — one endpoint each over UDP, for
 //!   two-terminal transfers (see `docs/NET.md` for a walkthrough).
 
-use crate::args::{parse_bits, ArgError, Args};
+use crate::args::{ArgError, Args};
+use crate::commands::{input_of, protocol, timing};
 use core::fmt::Write as _;
-use rstp_core::{bounds, Message, TimingParams};
+use rstp_core::protocols::EffortBound;
 use rstp_net::{
     run_receiver, run_transfer_mem, ChannelConfig, DriverConfig, DriverReport, Pace, TickClock,
     TransferConfig, UdpTransport,
 };
 use rstp_sim::adversary::{DeliveryPolicy, StepPolicy};
-use rstp_sim::harness::{random_input, run_configured, ProtocolKind, RunConfig};
+use rstp_sim::harness::{random_input, run_configured, RunConfig};
 use std::time::Duration;
 
 /// Usage text of the `net` command family.
@@ -35,38 +36,6 @@ USAGE: rstp net <send|recv|bench> [--flag value ...]
 Defaults: send binds 127.0.0.1:9000 -> 127.0.0.1:9001, recv the reverse;
 UDP tick 1000 us, bench tick 100 us. Start `recv` before `send`.
 ";
-
-fn timing(args: &Args) -> Result<TimingParams, ArgError> {
-    let c1 = args.get_u64("c1", 1)?;
-    let c2 = args.get_u64("c2", 2)?;
-    let d = args.get_u64("d", 8)?;
-    TimingParams::from_ticks(c1, c2, d).map_err(|e| ArgError(e.to_string()))
-}
-
-fn protocol(args: &Args) -> Result<ProtocolKind, ArgError> {
-    let k = args.get_u64("k", 4)?;
-    let window = args.get_u64("window", 2)?.max(1);
-    match args.get("protocol").unwrap_or("beta") {
-        "alpha" => Ok(ProtocolKind::Alpha),
-        "beta" => Ok(ProtocolKind::Beta { k }),
-        "gamma" => Ok(ProtocolKind::Gamma { k }),
-        "altbit" => Ok(ProtocolKind::AltBit {
-            timeout_steps: None,
-        }),
-        "framed" => Ok(ProtocolKind::Framed { k }),
-        "stenning" => Ok(ProtocolKind::Stenning {
-            timeout_steps: None,
-        }),
-        "pipelined" => Ok(ProtocolKind::Pipelined { k, window }),
-        "stab-stenning" => Ok(ProtocolKind::StabStenning {
-            timeout_steps: None,
-        }),
-        "stab-beta" => Ok(ProtocolKind::StabBeta { k }),
-        other => Err(ArgError(format!(
-            "unknown protocol {other:?} (alpha|beta|gamma|altbit|stenning|framed|pipelined|stab-stenning|stab-beta)"
-        ))),
-    }
-}
 
 pub(crate) fn pace(args: &Args) -> Result<Pace, ArgError> {
     match args.get("pace").unwrap_or("slow") {
@@ -96,41 +65,6 @@ fn rate_of(args: &Args, name: &str) -> Result<f64, ArgError> {
             }
             Ok(p)
         }
-    }
-}
-
-fn input_of(args: &Args) -> Result<Vec<Message>, ArgError> {
-    if let Some(bits) = args.get("input") {
-        parse_bits(bits)
-    } else {
-        let n = args.get_usize("n", 64)?;
-        let seed = args.get_u64("seed", 0)?;
-        Ok(random_input(n, seed))
-    }
-}
-
-/// The lower bound of the protocol's family at these parameters, with its
-/// theorem label — `None` for the baseline protocols the paper does not
-/// bound.
-fn family_lower_bound(
-    kind: ProtocolKind,
-    params: TimingParams,
-    k: u64,
-) -> Option<(f64, &'static str)> {
-    match kind {
-        ProtocolKind::Beta { .. }
-        | ProtocolKind::Framed { .. }
-        | ProtocolKind::BetaWindow { .. } => Some((bounds::passive_lower(params, k), "Thm 5.3")),
-        ProtocolKind::Gamma { .. } | ProtocolKind::Pipelined { .. } => {
-            Some((bounds::active_lower(params, k), "Thm 5.6"))
-        }
-        ProtocolKind::Alpha => Some((bounds::alpha_effort(params), "Fig 1 closed form")),
-        // The stabilizing variants trade effort for convergence; the
-        // paper's lower bounds do not apply to their tagged alphabets.
-        ProtocolKind::AltBit { .. }
-        | ProtocolKind::Stenning { .. }
-        | ProtocolKind::StabStenning { .. }
-        | ProtocolKind::StabBeta { .. } => None,
     }
 }
 
@@ -167,7 +101,6 @@ fn cmd_bench(args: &Args) -> Result<String, ArgError> {
     ])?;
     let params = timing(args)?;
     let kind = protocol(args)?;
-    let k = args.get_u64("k", 4)?;
     let n = args.get_usize("n", 4096)?;
     let seed = args.get_u64("seed", 0)?;
     let tick = tick_of(args, 100)?;
@@ -224,7 +157,12 @@ fn cmd_bench(args: &Args) -> Result<String, ArgError> {
                 "sim effort : {sim_effort:.3} ticks/message (slow steps, max delay)"
             );
         }
-        if let Some((lower, label)) = family_lower_bound(kind, params, k) {
+        let lower = match kind.effort_bound(params, n) {
+            Some(EffortBound::Exact(effort)) => Some((effort, "Fig 1 closed form")),
+            Some(EffortBound::Range { lower, theorem, .. }) => Some((lower, theorem)),
+            None => None,
+        };
+        if let Some((lower, label)) = lower {
             let _ = writeln!(s, "lower bound: {lower:.3} ticks/message ({label})");
         }
     }
@@ -401,6 +339,37 @@ mod tests {
         assert!(out.contains("wall effort"), "{out}");
         assert!(out.contains("sim effort"), "{out}");
         assert!(out.contains("Thm 5.3"), "{out}");
+    }
+
+    #[test]
+    fn bench_bounds_pipelined_over_its_tagged_alphabet() {
+        // The windowed transmitter sends from w·k = 64 symbols, so its
+        // Thm 5.6 floor is the 64-symbol one (`bounds --k 64` prints the
+        // same figure), not the 32-symbol 2.629.
+        let out = run(&[
+            "net",
+            "bench",
+            "--protocol",
+            "pipelined",
+            "--k",
+            "32",
+            "--window",
+            "2",
+            "--c1",
+            "1",
+            "--c2",
+            "12",
+            "--d",
+            "24",
+            "--n",
+            "240",
+        ])
+        .expect("bench");
+        assert!(out.contains("Y = X (exact)"), "{out}");
+        assert!(
+            out.contains("lower bound: 2.169 ticks/message (Thm 5.6)"),
+            "{out}"
+        );
     }
 
     #[test]

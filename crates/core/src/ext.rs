@@ -130,6 +130,16 @@ impl TimingParamsExt {
         }
     }
 
+    /// This model with its delivery floor raised to `d_lo`, capped at
+    /// `d_hi` (experiment E8's nearly deterministic channels).
+    #[must_use]
+    pub fn with_d_lo(self, d_lo: TimeDelta) -> Self {
+        TimingParamsExt {
+            d_lo: d_lo.min(self.d_hi),
+            ..self
+        }
+    }
+
     /// The transmitter's step bounds.
     #[must_use]
     pub fn transmitter(self) -> ProcessTiming {

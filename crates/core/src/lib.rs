@@ -17,7 +17,10 @@
 //!   counts `δ1 = d/c1`, `δ2 = d/c2`.
 //! * [`channel`] — the channel automaton `C(P)` (reliable, unordered).
 //! * [`protocols`] — `A^α` (Fig 1), `A^β(k)` (Fig 3), `A^γ(k)` (Fig 4), the
-//!   alternating-bit baseline, and a self-delimiting framed variant.
+//!   alternating-bit baseline, and a self-delimiting framed variant; plus
+//!   [`ProtocolKind`], the protocol table every other crate reads.
+//! * [`state_codec`] — the receiver-state encoding a session snapshot
+//!   carries.
 //! * [`bounds`] — the closed forms of Theorems 5.3/5.6 and the §6 protocol
 //!   guarantees, plus passive/active crossover analysis.
 //! * [`ext`] — the §7 future-work model (delivery window `[d_lo, d_hi]`,
@@ -64,10 +67,13 @@ pub mod bounds;
 pub mod channel;
 pub mod ext;
 pub mod params;
+#[macro_use]
+pub mod state_codec;
 pub mod protocols;
 
 pub use action::{InternalKind, Message, Owner, Packet, RstpAction, SessionId};
 pub use channel::{Channel, ChannelState};
 pub use ext::{ProcessTiming, TimingParamsExt};
 pub use params::{ParamError, TimingParams};
-pub use protocols::ProtocolError;
+pub use protocols::{ProtocolError, ProtocolKind};
+pub use state_codec::StateCodec;

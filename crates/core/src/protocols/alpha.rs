@@ -254,6 +254,8 @@ impl Automaton for AlphaReceiver {
     }
 }
 
+state_codec! { AlphaReceiverState { received, written } }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -264,6 +264,8 @@ impl Automaton for AltBitReceiver {
     }
 }
 
+state_codec! { AltBitReceiverState { expected_tag, received, written, ack_queue } }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -409,6 +409,8 @@ impl Automaton for BetaReceiver {
     }
 }
 
+state_codec! { BetaReceiverState { burst, decoded, written, decode_failures } }
+
 #[cfg(test)]
 mod tests {
     use super::*;

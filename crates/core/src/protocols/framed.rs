@@ -249,6 +249,8 @@ impl Automaton for FramedReceiver {
     }
 }
 
+state_codec! { FramedReceiverState { burst, decoded, written, decode_failures } }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -376,6 +376,8 @@ impl Automaton for GammaReceiver {
     }
 }
 
+state_codec! { GammaReceiverState { burst, pending_acks, decoded, written, decode_failures } }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,12 +20,17 @@
 //! encoding/decoding parts are straightforward but tedious"); here the
 //! encoding is real: transmitters carry a [`rstp_codec::BlockCodec`] and
 //! receivers decode the multiset of each burst back into message bits.
+//!
+//! [`ProtocolKind`] names a family plus its parameters; the [`kind`]
+//! module is the protocol table holding every per-family fact and the
+//! one place that constructs each family's automata.
 
 pub mod alpha;
 pub mod altbit;
 pub mod beta;
 pub mod framed;
 pub mod gamma;
+pub mod kind;
 pub mod pipelined;
 pub mod stabilizing;
 pub mod stenning;
@@ -69,6 +74,10 @@ pub use altbit::{AltBitReceiver, AltBitReceiverState, AltBitTransmitter, AltBitT
 pub use beta::{BetaReceiver, BetaReceiverState, BetaTransmitter, BetaTransmitterState};
 pub use framed::{FramedReceiver, FramedReceiverState, FramedTransmitter};
 pub use gamma::{GammaReceiver, GammaReceiverState, GammaTransmitter, GammaTransmitterState};
+pub use kind::{
+    EffortBound, KindError, KindFields, PairVisitor, ProtocolKind, Receiver, ReceiverVisitor,
+    Transmitter, TransmitterVisitor, UpperBound,
+};
 pub use pipelined::{
     PipelinedReceiver, PipelinedReceiverState, PipelinedTransmitter, PipelinedTransmitterState,
 };

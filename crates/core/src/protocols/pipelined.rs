@@ -451,6 +451,12 @@ impl Automaton for PipelinedReceiver {
     }
 }
 
+state_codec! {
+    PipelinedReceiverState {
+        bursts, staged, commit_tag, decoded, written, ack_queue, decode_failures
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

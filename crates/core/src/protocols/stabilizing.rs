@@ -995,6 +995,12 @@ impl Corruptible for StabBetaReceiver {
     }
 }
 
+state_codec! { StabStenningReceiverState { expected, received, written, pending_ack, synced } }
+
+state_codec! {
+    StabBetaReceiverState { burst, decoded, written, silent_steps, resets, decode_failures }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

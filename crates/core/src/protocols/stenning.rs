@@ -263,6 +263,8 @@ impl Automaton for StenningReceiver {
     }
 }
 
+state_codec! { StenningReceiverState { expected_seq, received, written, ack_queue } }
+
 #[cfg(test)]
 mod tests {
     use super::*;

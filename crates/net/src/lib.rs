@@ -61,7 +61,7 @@ pub use histogram::LatencyHistogram;
 pub use mem::MemTransport;
 pub use session::{
     codec_for, run_receiver, run_transfer_mem, run_transfer_mem_scripted, run_transmitter,
-    wire_identity, TransferConfig, TransferReport,
+    TransferConfig, TransferReport,
 };
 pub use transport::{Transport, TransportStats};
 pub use udp::UdpTransport;

@@ -15,53 +15,55 @@ use crate::error::NetError;
 use crate::mem::MemTransport;
 use crate::transport::Transport;
 use crate::wire::{ProtocolId, WireCodec};
-use rstp_core::protocols::{
-    stab_beta_transmitter, AlphaReceiver, AlphaTransmitter, AltBitReceiver, AltBitTransmitter,
-    BetaReceiver, BetaTransmitter, FramedReceiver, FramedTransmitter, GammaReceiver,
-    GammaTransmitter, PipelinedReceiver, PipelinedTransmitter, StabBetaReceiver,
-    StabStenningReceiver, StabStenningTransmitter, StenningReceiver, StenningTransmitter,
-};
-use rstp_core::{Message, TimingParams};
-use rstp_sim::harness::ProtocolKind;
+use rstp_automata::TimeDelta;
+use rstp_core::protocols::{Receiver, ReceiverVisitor, Transmitter, TransmitterVisitor};
+use rstp_core::{Message, ProtocolKind, TimingParams};
 use rstp_sim::ScriptedDelivery;
 use std::thread;
 use std::time::Duration;
-
-/// The wire identity `(protocol id, k)` of a [`ProtocolKind`].
-///
-/// # Errors
-///
-/// [`NetError::Unsupported`] for [`ProtocolKind::BetaWindow`]: its wait
-/// phase depends on a per-run `d_lo` that the wire header does not carry,
-/// so the two endpoints could silently disagree about timing.
-pub fn wire_identity(kind: ProtocolKind) -> Result<(ProtocolId, u64), NetError> {
-    match kind {
-        ProtocolKind::Alpha => Ok((ProtocolId::Alpha, 0)),
-        ProtocolKind::Beta { k } => Ok((ProtocolId::Beta, k)),
-        ProtocolKind::Gamma { k } => Ok((ProtocolId::Gamma, k)),
-        ProtocolKind::AltBit { .. } => Ok((ProtocolId::AltBit, 0)),
-        ProtocolKind::Framed { k } => Ok((ProtocolId::Framed, k)),
-        ProtocolKind::Stenning { .. } => Ok((ProtocolId::Stenning, 0)),
-        ProtocolKind::Pipelined { k, .. } => Ok((ProtocolId::Pipelined, k)),
-        ProtocolKind::StabStenning { .. } => Ok((ProtocolId::StabStenning, 0)),
-        ProtocolKind::StabBeta { k } => Ok((ProtocolId::StabBeta, k)),
-        ProtocolKind::BetaWindow { .. } => Err(NetError::Unsupported {
-            what: "beta-window needs an out-of-band d_lo agreement; \
-                   run it in the simulator instead"
-                .into(),
-        }),
-    }
-}
 
 /// The frame codec both endpoints of a `kind` transfer must use.
 ///
 /// # Errors
 ///
-/// [`NetError`] if the protocol is unsupported on the wire or `k` exceeds
-/// the header field.
+/// [`NetError::Unsupported`] for a kind the protocol table gives no wire
+/// id (beta-window: its wait phase depends on a per-run `d_lo` that the
+/// wire header does not carry, so the two endpoints could silently
+/// disagree about timing), or a wire error if `k` exceeds the header
+/// field.
 pub fn codec_for(kind: ProtocolKind) -> Result<WireCodec, NetError> {
-    let (id, k) = wire_identity(kind)?;
-    Ok(WireCodec::new(id, k)?)
+    let id = kind
+        .wire_id()
+        .and_then(ProtocolId::from_byte)
+        .ok_or_else(|| NetError::Unsupported {
+            what: format!(
+                "{} has no wire id (its timing needs an out-of-band agreement); \
+                 run it in the simulator instead",
+                kind.family()
+            ),
+        })?;
+    Ok(WireCodec::new(id, kind.fields().k)?)
+}
+
+/// Drives one endpoint automaton over a transport.
+struct Drive<'a, T> {
+    transport: &'a mut T,
+    clock: TickClock,
+    config: &'a DriverConfig,
+}
+
+impl<T: Transport> TransmitterVisitor for Drive<'_, T> {
+    type Output = Result<DriverReport, NetError>;
+    fn visit<A: Transmitter>(self, automaton: A) -> Self::Output {
+        run_endpoint(&automaton, self.transport, self.clock, self.config)
+    }
+}
+
+impl<T: Transport> ReceiverVisitor for Drive<'_, T> {
+    type Output = Result<DriverReport, NetError>;
+    fn visit<A: Receiver>(self, automaton: A) -> Self::Output {
+        run_endpoint(&automaton, self.transport, self.clock, self.config)
+    }
 }
 
 /// Drives the transmitter endpoint of `kind` carrying `input` over
@@ -79,63 +81,13 @@ pub fn run_transmitter<T: Transport>(
     clock: TickClock,
     config: &DriverConfig,
 ) -> Result<DriverReport, NetError> {
-    match kind {
-        ProtocolKind::Alpha => run_endpoint(
-            &AlphaTransmitter::new(params, input.to_vec()),
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::Beta { k } => run_endpoint(
-            &BetaTransmitter::new(params, k, input)?,
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::Gamma { k } => run_endpoint(
-            &GammaTransmitter::new(params, k, input)?,
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::AltBit { timeout_steps } => run_endpoint(
-            &AltBitTransmitter::new(params, input.to_vec(), timeout_steps),
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::Framed { k } => run_endpoint(
-            &FramedTransmitter::new(params, k, input)?,
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::Stenning { timeout_steps } => run_endpoint(
-            &StenningTransmitter::new(params, input.to_vec(), timeout_steps),
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::Pipelined { k, window } => run_endpoint(
-            &PipelinedTransmitter::with_window(params, k, window, input)?,
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::StabStenning { timeout_steps } => run_endpoint(
-            &StabStenningTransmitter::new(params, input.to_vec(), timeout_steps),
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::StabBeta { k } => run_endpoint(
-            &stab_beta_transmitter(params, k, input)?,
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::BetaWindow { .. } => Err(wire_identity(kind).expect_err("unsupported")),
-    }
+    codec_for(kind)?;
+    let drive = Drive {
+        transport,
+        clock,
+        config,
+    };
+    kind.with_transmitter(params, TimeDelta::ZERO, input, drive)?
 }
 
 /// Drives the receiver endpoint of `kind` expecting `n` messages over
@@ -153,44 +105,17 @@ pub fn run_receiver<T: Transport>(
     clock: TickClock,
     config: &DriverConfig,
 ) -> Result<DriverReport, NetError> {
+    codec_for(kind)?;
     let config = &DriverConfig {
         expected_writes: Some(n),
         ..*config
     };
-    match kind {
-        ProtocolKind::Alpha => run_endpoint(&AlphaReceiver::new(), transport, clock, config),
-        ProtocolKind::Beta { k } => {
-            run_endpoint(&BetaReceiver::new(params, k, n)?, transport, clock, config)
-        }
-        ProtocolKind::Gamma { k } => {
-            run_endpoint(&GammaReceiver::new(params, k, n)?, transport, clock, config)
-        }
-        ProtocolKind::AltBit { .. } => {
-            run_endpoint(&AltBitReceiver::new(), transport, clock, config)
-        }
-        ProtocolKind::Framed { k } => {
-            run_endpoint(&FramedReceiver::new(params, k)?, transport, clock, config)
-        }
-        ProtocolKind::Stenning { .. } => {
-            run_endpoint(&StenningReceiver::new(), transport, clock, config)
-        }
-        ProtocolKind::Pipelined { k, window } => run_endpoint(
-            &PipelinedReceiver::with_window(params, k, window, n)?,
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::StabStenning { .. } => {
-            run_endpoint(&StabStenningReceiver::new(), transport, clock, config)
-        }
-        ProtocolKind::StabBeta { k } => run_endpoint(
-            &StabBetaReceiver::new(params, k, n)?,
-            transport,
-            clock,
-            config,
-        ),
-        ProtocolKind::BetaWindow { .. } => Err(wire_identity(kind).expect_err("unsupported")),
-    }
+    let drive = Drive {
+        transport,
+        clock,
+        config,
+    };
+    kind.with_receiver(params, TimeDelta::ZERO, n, drive)?
 }
 
 /// Configuration of an in-process transfer.
@@ -413,14 +338,13 @@ mod tests {
 
     #[test]
     fn wire_identities_are_stable() {
+        let beta = codec_for(ProtocolKind::Beta { k: 7 }).expect("supported");
+        assert_eq!((beta.protocol(), beta.k()), (ProtocolId::Beta, 7));
+        let pipelined = codec_for(ProtocolKind::Pipelined { k: 3, window: 2 }).expect("supported");
         assert_eq!(
-            wire_identity(ProtocolKind::Beta { k: 7 }).expect("supported"),
-            (ProtocolId::Beta, 7)
-        );
-        assert_eq!(
-            wire_identity(ProtocolKind::Pipelined { k: 3, window: 2 }).expect("supported"),
+            (pipelined.protocol(), pipelined.k()),
             (ProtocolId::Pipelined, 3)
         );
-        assert!(wire_identity(ProtocolKind::BetaWindow { k: 2 }).is_err());
+        assert!(codec_for(ProtocolKind::BetaWindow { k: 2 }).is_err());
     }
 }

@@ -108,7 +108,9 @@ impl ProtocolId {
         ProtocolId::StabBeta,
     ];
 
-    fn from_byte(b: u8) -> Option<ProtocolId> {
+    /// The id whose header byte is `b`.
+    #[must_use]
+    pub fn from_byte(b: u8) -> Option<ProtocolId> {
         ProtocolId::ALL.into_iter().find(|p| *p as u8 == b)
     }
 }

@@ -36,7 +36,9 @@
 //! from trailers. A v2 reader still parses v1 files: the epoch field is
 //! optional on decode and defaults to 0.
 
-use rstp_sim::ProtocolKind;
+use rstp_core::protocols::KindFields;
+use rstp_core::state_codec::Field;
+use rstp_core::ProtocolKind;
 use std::fmt;
 
 /// Leading file magic: `RSTPREC\0`.
@@ -263,17 +265,6 @@ const KIND_STATS: u8 = 8;
 const KIND_SNAPSHOT: u8 = 9;
 const KIND_WRITE: u8 = 10;
 
-const TAG_ALPHA: u8 = 1;
-const TAG_BETA: u8 = 2;
-const TAG_GAMMA: u8 = 3;
-const TAG_ALTBIT: u8 = 4;
-const TAG_FRAMED: u8 = 5;
-const TAG_BETA_WINDOW: u8 = 6;
-const TAG_STENNING: u8 = 7;
-const TAG_PIPELINED: u8 = 8;
-const TAG_STAB_STENNING: u8 = 9;
-const TAG_STAB_BETA: u8 = 10;
-
 /// Appends the 9-byte file header.
 pub fn write_header(out: &mut Vec<u8>) {
     out.extend_from_slice(&RECORD_MAGIC);
@@ -303,61 +294,30 @@ pub fn read_header(buf: &[u8]) -> Result<usize, RecordError> {
     Ok(HEADER_LEN)
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_kind(out: &mut Vec<u8>, kind: ProtocolKind) {
-    let (tag, k, window, timeout) = match kind {
-        ProtocolKind::Alpha => (TAG_ALPHA, 0, 0, None),
-        ProtocolKind::Beta { k } => (TAG_BETA, k, 0, None),
-        ProtocolKind::Gamma { k } => (TAG_GAMMA, k, 0, None),
-        ProtocolKind::AltBit { timeout_steps } => (TAG_ALTBIT, 0, 0, timeout_steps),
-        ProtocolKind::Framed { k } => (TAG_FRAMED, k, 0, None),
-        ProtocolKind::BetaWindow { k } => (TAG_BETA_WINDOW, k, 0, None),
-        ProtocolKind::Stenning { timeout_steps } => (TAG_STENNING, 0, 0, timeout_steps),
-        ProtocolKind::Pipelined { k, window } => (TAG_PIPELINED, k, window, None),
-        ProtocolKind::StabStenning { timeout_steps } => (TAG_STAB_STENNING, 0, 0, timeout_steps),
-        ProtocolKind::StabBeta { k } => (TAG_STAB_BETA, k, 0, None),
-    };
-    out.push(tag);
-    put_u64(out, k);
-    put_u64(out, window);
-    out.push(u8::from(timeout.is_some()));
-    put_u64(out, timeout.unwrap_or(0));
-}
-
 /// Appends one length-prefixed record.
 pub fn encode_record(rec: &Record, out: &mut Vec<u8>) {
     let mut payload = Vec::with_capacity(64);
     match rec {
         Record::Meta(m) => {
             payload.push(KIND_META);
-            put_u32(&mut payload, m.shard);
-            put_u64(&mut payload, m.c1);
-            put_u64(&mut payload, m.c2);
-            put_u64(&mut payload, m.d);
-            put_u64(&mut payload, m.tick_micros);
-            payload.push(u8::from(m.seed.is_some()));
-            put_u64(&mut payload, m.seed.unwrap_or(0));
+            m.shard.encode_field(&mut payload);
+            m.c1.encode_field(&mut payload);
+            m.c2.encode_field(&mut payload);
+            m.d.encode_field(&mut payload);
+            m.tick_micros.encode_field(&mut payload);
+            m.seed.encode_field(&mut payload);
         }
         Record::Event(ev) => encode_event(ev, &mut payload),
         Record::Stats(s) => {
             payload.push(KIND_STATS);
-            put_u64(&mut payload, s.recorded);
-            put_u64(&mut payload, s.dropped);
-            put_u32(&mut payload, s.epoch);
+            s.recorded.encode_field(&mut payload);
+            s.dropped.encode_field(&mut payload);
+            s.epoch.encode_field(&mut payload);
         }
     }
-    put_u32(out, u32::try_from(payload.len()).unwrap_or(u32::MAX));
+    u32::try_from(payload.len())
+        .unwrap_or(u32::MAX)
+        .encode_field(out);
     out.extend_from_slice(&payload);
 }
 
@@ -370,10 +330,10 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             n,
         } => {
             payload.push(KIND_ADMIT);
-            put_u64(payload, *at_micros);
-            put_u32(payload, *session);
-            put_kind(payload, *kind);
-            put_u32(payload, *n);
+            at_micros.encode_field(payload);
+            session.encode_field(payload);
+            kind.encode_tag(payload);
+            n.encode_field(payload);
         }
         Event::Rx {
             at_micros,
@@ -390,9 +350,11 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             } else {
                 KIND_TX
             });
-            put_u64(payload, *at_micros);
-            put_u32(payload, *session);
-            put_u16(payload, u16::try_from(wire.len()).unwrap_or(u16::MAX));
+            at_micros.encode_field(payload);
+            session.encode_field(payload);
+            u16::try_from(wire.len())
+                .unwrap_or(u16::MAX)
+                .encode_field(payload);
             payload.extend_from_slice(&wire[..wire.len().min(usize::from(u16::MAX))]);
         }
         Event::WheelPop {
@@ -402,9 +364,9 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             late,
         } => {
             payload.push(KIND_POP);
-            put_u64(payload, *at_micros);
-            put_u32(payload, *session);
-            put_u64(payload, *due_tick);
+            at_micros.encode_field(payload);
+            session.encode_field(payload);
+            due_tick.encode_field(payload);
             payload.push(u8::from(*late));
         }
         Event::DeadlineMiss {
@@ -413,9 +375,9 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             due_tick,
         } => {
             payload.push(KIND_MISS);
-            put_u64(payload, *at_micros);
-            put_u32(payload, *session);
-            put_u64(payload, *due_tick);
+            at_micros.encode_field(payload);
+            session.encode_field(payload);
+            due_tick.encode_field(payload);
         }
         Event::Snapshot {
             at_micros,
@@ -423,9 +385,11 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             state,
         } => {
             payload.push(KIND_SNAPSHOT);
-            put_u64(payload, *at_micros);
-            put_u32(payload, *session);
-            put_u16(payload, u16::try_from(state.len()).unwrap_or(u16::MAX));
+            at_micros.encode_field(payload);
+            session.encode_field(payload);
+            u16::try_from(state.len())
+                .unwrap_or(u16::MAX)
+                .encode_field(payload);
             payload.extend_from_slice(&state[..state.len().min(usize::from(u16::MAX))]);
         }
         Event::Write {
@@ -435,9 +399,9 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             bit,
         } => {
             payload.push(KIND_WRITE);
-            put_u64(payload, *at_micros);
-            put_u32(payload, *session);
-            put_u64(payload, *written);
+            at_micros.encode_field(payload);
+            session.encode_field(payload);
+            written.encode_field(payload);
             payload.push(u8::from(*bit));
         }
         Event::Verdict {
@@ -447,10 +411,12 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             written,
         } => {
             payload.push(KIND_VERDICT);
-            put_u64(payload, *at_micros);
-            put_u32(payload, *session);
+            at_micros.encode_field(payload);
+            session.encode_field(payload);
             payload.push(u8::from(*completed));
-            put_u32(payload, u32::try_from(written.len()).unwrap_or(u32::MAX));
+            u32::try_from(written.len())
+                .unwrap_or(u32::MAX)
+                .encode_field(payload);
             let mut byte = 0u8;
             for (i, bit) in written.iter().enumerate() {
                 if *bit {
@@ -538,21 +504,14 @@ fn take_kind(b: &mut Body<'_>) -> Result<ProtocolKind, RecordError> {
     let has_timeout = b.flag("protocol timeout flag")?;
     let timeout_raw = b.u64()?;
     let timeout_steps = has_timeout.then_some(timeout_raw);
-    match tag {
-        TAG_ALPHA => Ok(ProtocolKind::Alpha),
-        TAG_BETA => Ok(ProtocolKind::Beta { k }),
-        TAG_GAMMA => Ok(ProtocolKind::Gamma { k }),
-        TAG_ALTBIT => Ok(ProtocolKind::AltBit { timeout_steps }),
-        TAG_FRAMED => Ok(ProtocolKind::Framed { k }),
-        TAG_BETA_WINDOW => Ok(ProtocolKind::BetaWindow { k }),
-        TAG_STENNING => Ok(ProtocolKind::Stenning { timeout_steps }),
-        TAG_PIPELINED => Ok(ProtocolKind::Pipelined { k, window }),
-        TAG_STAB_STENNING => Ok(ProtocolKind::StabStenning { timeout_steps }),
-        TAG_STAB_BETA => Ok(ProtocolKind::StabBeta { k }),
-        _ => Err(RecordError::Malformed {
-            what: "unknown protocol tag",
-        }),
-    }
+    let fields = KindFields {
+        k,
+        window,
+        timeout_steps,
+    };
+    fields.kind(tag).ok_or(RecordError::Malformed {
+        what: "unknown protocol tag",
+    })
 }
 
 /// Decodes one length-prefixed record from the start of `buf`.

@@ -8,7 +8,7 @@
 
 use crate::format::{Event, RecordError, RunMeta};
 use crate::reader::Recording;
-use rstp_sim::ProtocolKind;
+use rstp_core::ProtocolKind;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;

@@ -13,11 +13,11 @@
 //! the data path. The producer side is strictly nonblocking — a bounded
 //! ring accepts events with a single `try_lock`, and saturation or
 //! contention drops the event and counts it, loudly, rather than
-//! stalling a shard past its `c2` window (see [`ring`]). A writer
-//! thread per shard drains the ring to disk ([`writer`]) in a
+//! stalling a shard past its `c2` window (see [`ring`](mod@ring)). A
+//! writer thread per shard drains the ring to disk ([`writer`]) in a
 //! versioned, length-prefixed format with pinned golden bytes
-//! ([`format`]); [`reader`] and [`index`] turn the files back into
-//! per-session histories.
+//! ([`format`](mod@format)); [`reader`] and [`index`] turn the files back
+//! into per-session histories.
 //!
 //! Timestamps are `TickClock::now_micros` readings supplied by the
 //! shard — this crate never reads the wall clock itself, so the

@@ -3,11 +3,11 @@
 //! space, and strict non-panicking rejection of corrupted prefixes.
 
 use proptest::prelude::*;
+use rstp_core::ProtocolKind;
 use rstp_record::{
     format::{decode_record, encode_record, read_header, write_header},
     Event, RecStats, Record, RecordError, RunMeta,
 };
-use rstp_sim::ProtocolKind;
 
 fn kind_strategy() -> impl Strategy<Value = ProtocolKind> {
     prop_oneof![

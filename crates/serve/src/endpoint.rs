@@ -1,7 +1,7 @@
 //! Object-safe session endpoints: heterogeneous automata in one table.
 //!
 //! [`Automaton`] has an associated `State` type, so a shard cannot store
-//! `Box<dyn Automaton>` directly. [`Driven`] pairs a concrete automaton
+//! `Box<dyn Automaton>` directly. `Driven` pairs a concrete automaton
 //! with its current state behind the object-safe [`SessionEndpoint`]
 //! trait: `apply_recv` feeds a delivered packet as a `recv` input, `step`
 //! fires the unique enabled local action and reports its visible effect.
@@ -11,15 +11,11 @@
 //! driver and the simulator exactly — a shard must not weaken the model
 //! just because it runs many sessions.
 
-use crate::snapshot::{state_from_bytes, state_to_bytes, StateCodec};
-use rstp_automata::Automaton;
-use rstp_core::protocols::{
-    AlphaReceiver, AltBitReceiver, BetaReceiver, FramedReceiver, GammaReceiver, PipelinedReceiver,
-    StabBetaReceiver, StabStenningReceiver, StenningReceiver,
-};
-use rstp_core::{InternalKind, Message, Packet, RstpAction, TimingParams};
-use rstp_net::NetError;
-use rstp_sim::ProtocolKind;
+use rstp_automata::{Automaton, TimeDelta};
+use rstp_core::protocols::{Receiver, ReceiverVisitor};
+use rstp_core::state_codec::{state_from_bytes, state_to_bytes, StateCodec};
+use rstp_core::{InternalKind, Message, Packet, ProtocolKind, RstpAction, TimingParams};
+use rstp_net::{codec_for, NetError};
 
 /// The externally visible effect of one local step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,36 +119,30 @@ where
     }
 }
 
-fn boxed<A>(automaton: A) -> Box<dyn SessionEndpoint>
-where
-    A: Automaton<Action = RstpAction> + Send + 'static,
-    A::State: Send + StateCodec,
-{
-    let state = automaton.initial_state();
-    Box::new(Driven {
-        automaton,
-        state,
-        written: Vec::new(),
-    })
+/// Boxes a freshly built receiver, in its initial state or in a
+/// restored one.
+struct Boxed<'a> {
+    restore: Option<(&'a [u8], Vec<Message>)>,
 }
 
-fn unboxed<A>(
-    automaton: A,
-    state_bytes: &[u8],
-    written: Vec<Message>,
-) -> Result<Box<dyn SessionEndpoint>, NetError>
-where
-    A: Automaton<Action = RstpAction> + Send + 'static,
-    A::State: Send + StateCodec,
-{
-    let state = state_from_bytes::<A::State>(state_bytes).ok_or_else(|| NetError::Automaton {
-        what: "session snapshot state failed to decode".into(),
-    })?;
-    Ok(Box::new(Driven {
-        automaton,
-        state,
-        written,
-    }))
+impl ReceiverVisitor for Boxed<'_> {
+    type Output = Result<Box<dyn SessionEndpoint>, NetError>;
+    fn visit<R: Receiver>(self, automaton: R) -> Self::Output {
+        let (state, written) = match self.restore {
+            None => (automaton.initial_state(), Vec::new()),
+            Some((bytes, written)) => {
+                let state = state_from_bytes(bytes).ok_or_else(|| NetError::Automaton {
+                    what: "session snapshot state failed to decode".into(),
+                })?;
+                (state, written)
+            }
+        };
+        Ok(Box::new(Driven {
+            automaton,
+            state,
+            written,
+        }))
+    }
 }
 
 /// Builds the *receiver* endpoint of `kind` expecting `n` messages — the
@@ -161,34 +151,16 @@ where
 ///
 /// # Errors
 ///
-/// [`NetError::Unsupported`] for [`ProtocolKind::BetaWindow`] (same
-/// reason the wire rejects it: no in-band `d_lo` agreement), or a
-/// construction error from the protocol itself.
+/// [`NetError::Unsupported`] for a kind without a wire id (same reason
+/// the wire rejects it), or a construction error from the protocol
+/// itself.
 pub fn receiver_endpoint(
     kind: ProtocolKind,
     params: TimingParams,
     n: usize,
 ) -> Result<Box<dyn SessionEndpoint>, NetError> {
-    Ok(match kind {
-        ProtocolKind::Alpha => boxed(AlphaReceiver::new()),
-        ProtocolKind::Beta { k } => boxed(BetaReceiver::new(params, k, n)?),
-        ProtocolKind::Gamma { k } => boxed(GammaReceiver::new(params, k, n)?),
-        ProtocolKind::AltBit { .. } => boxed(AltBitReceiver::new()),
-        ProtocolKind::Framed { k } => boxed(FramedReceiver::new(params, k)?),
-        ProtocolKind::Stenning { .. } => boxed(StenningReceiver::new()),
-        ProtocolKind::StabStenning { .. } => boxed(StabStenningReceiver::new()),
-        ProtocolKind::StabBeta { k } => boxed(StabBetaReceiver::new(params, k, n)?),
-        ProtocolKind::Pipelined { k, window } => {
-            boxed(PipelinedReceiver::with_window(params, k, window, n)?)
-        }
-        ProtocolKind::BetaWindow { .. } => {
-            return Err(NetError::Unsupported {
-                what: "beta-window needs an out-of-band d_lo agreement; \
-                       run it in the simulator instead"
-                    .into(),
-            })
-        }
-    })
+    codec_for(kind)?;
+    kind.with_receiver(params, TimeDelta::ZERO, n, Boxed { restore: None })?
 }
 
 /// Re-creates a *live* receiver endpoint from serialized automaton
@@ -199,7 +171,7 @@ pub fn receiver_endpoint(
 ///
 /// # Errors
 ///
-/// [`NetError::Unsupported`] for [`ProtocolKind::BetaWindow`], a
+/// [`NetError::Unsupported`] for a kind without a wire id, a
 /// construction error from the protocol itself, or
 /// [`NetError::Automaton`] when `state` does not decode as `kind`'s
 /// receiver state (a corrupted or protocol-mismatched snapshot).
@@ -210,33 +182,18 @@ pub fn restore_receiver_endpoint(
     state: &[u8],
     written: Vec<Message>,
 ) -> Result<Box<dyn SessionEndpoint>, NetError> {
-    match kind {
-        ProtocolKind::Alpha => unboxed(AlphaReceiver::new(), state, written),
-        ProtocolKind::Beta { k } => unboxed(BetaReceiver::new(params, k, n)?, state, written),
-        ProtocolKind::Gamma { k } => unboxed(GammaReceiver::new(params, k, n)?, state, written),
-        ProtocolKind::AltBit { .. } => unboxed(AltBitReceiver::new(), state, written),
-        ProtocolKind::Framed { k } => unboxed(FramedReceiver::new(params, k)?, state, written),
-        ProtocolKind::Stenning { .. } => unboxed(StenningReceiver::new(), state, written),
-        ProtocolKind::StabStenning { .. } => unboxed(StabStenningReceiver::new(), state, written),
-        ProtocolKind::StabBeta { k } => {
-            unboxed(StabBetaReceiver::new(params, k, n)?, state, written)
-        }
-        ProtocolKind::Pipelined { k, window } => unboxed(
-            PipelinedReceiver::with_window(params, k, window, n)?,
-            state,
-            written,
-        ),
-        ProtocolKind::BetaWindow { .. } => Err(NetError::Unsupported {
-            what: "beta-window needs an out-of-band d_lo agreement; \
-                   run it in the simulator instead"
-                .into(),
-        }),
-    }
+    codec_for(kind)?;
+    let restore = Some((state, written));
+    kind.with_receiver(params, TimeDelta::ZERO, n, Boxed { restore })?
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SessionSnapshot;
+    use rstp_core::protocols::{KindFields, Transmitter, TransmitterVisitor};
+    use rstp_record::format::{decode_record, encode_record};
+    use rstp_record::{Event, Record};
 
     fn params() -> TimingParams {
         TimingParams::from_ticks(1, 2, 4).expect("valid")
@@ -321,22 +278,121 @@ mod tests {
         assert!(matches!(err, NetError::Automaton { .. }), "{err}");
     }
 
-    #[test]
-    fn every_wire_protocol_constructs() {
-        for kind in [
-            ProtocolKind::Alpha,
-            ProtocolKind::Beta { k: 4 },
-            ProtocolKind::Gamma { k: 4 },
-            ProtocolKind::AltBit {
-                timeout_steps: None,
-            },
-            ProtocolKind::Framed { k: 4 },
-            ProtocolKind::Stenning {
-                timeout_steps: None,
-            },
-            ProtocolKind::Pipelined { k: 4, window: 2 },
-        ] {
-            assert!(receiver_endpoint(kind, params(), 8).is_ok(), "{kind:?}");
+    /// The first `self.0` packets a transmitter sends when no acks come
+    /// back.
+    struct Sends(usize);
+
+    impl TransmitterVisitor for Sends {
+        type Output = Vec<Packet>;
+        fn visit<T: Transmitter>(self, t: T) -> Vec<Packet> {
+            let mut state = t.initial_state();
+            let mut sent = Vec::new();
+            for _ in 0..400 {
+                let Some(action) = t.enabled(&state).first().copied() else {
+                    break;
+                };
+                t.apply(&mut state, &action)
+                    .expect("enabled action applies");
+                if let RstpAction::Send(p) = action {
+                    sent.push(p);
+                }
+                if sent.len() == self.0 {
+                    break;
+                }
+            }
+            sent
         }
+    }
+
+    fn steps(ep: &mut Box<dyn SessionEndpoint>) -> Vec<StepEffect> {
+        (0..3).map(|_| ep.step().expect("step")).collect()
+    }
+
+    /// Every row of the protocol table, checked fact by fact on one
+    /// sample: a row missing a fact, or a fact one consumer reads
+    /// differently from another, fails here.
+    #[test]
+    fn protocol_table_is_complete() {
+        let p = params();
+        let input = rstp_sim::harness::random_input(16, 5);
+        let fields = KindFields {
+            k: 4,
+            window: 3,
+            timeout_steps: Some(9),
+        };
+        let kinds: Vec<ProtocolKind> = (1..=u8::MAX).map_while(|tag| fields.kind(tag)).collect();
+        assert_eq!(kinds.len(), 10);
+        let mut wire_ids = Vec::new();
+        for kind in kinds {
+            let what = kind.name();
+            let f = kind.fields();
+            let parsed =
+                ProtocolKind::from_name(kind.family(), Some(f.k), Some(f.window), f.timeout_steps);
+            assert_eq!(parsed, Ok(kind), "{what}: name");
+            let token = kind.corpus_token().parse();
+            assert_eq!(token, Ok(kind), "{what}: corpus token");
+
+            let snap = SessionSnapshot {
+                session: 1,
+                kind,
+                n: 16,
+                seq: 0,
+                written: Vec::new(),
+                state: Vec::new(),
+            };
+            let back = SessionSnapshot::decode(&snap.encode()).map(|s| s.kind);
+            assert_eq!(back, Ok(kind), "{what}: snapshot tag");
+            let admit = Record::Event(Event::Admit {
+                at_micros: 1,
+                session: 1,
+                kind,
+                n: 16,
+            });
+            let mut bytes = Vec::new();
+            encode_record(&admit, &mut bytes);
+            let back = decode_record(&bytes).map(|(r, _)| r);
+            assert_eq!(back, Ok(admit), "{what}: record tag");
+
+            let wire = kind.wire_id().is_some();
+            let codec = codec_for(kind);
+            assert_eq!(codec.is_ok(), wire, "{what}: wire id");
+            if let Ok(codec) = codec {
+                // The id byte names this family on the wire, too.
+                assert_eq!(codec.protocol().to_string(), kind.family(), "{what}");
+                wire_ids.push(codec.protocol());
+            }
+            let built = receiver_endpoint(kind, p, input.len());
+            assert_eq!(built.is_ok(), wire, "{what}: receiver endpoint");
+            let Ok(mut original) = built else {
+                continue;
+            };
+
+            let sent = kind
+                .with_transmitter(p, TimeDelta::ZERO, &input, Sends(8))
+                .expect("transmitter");
+            assert!(!sent.is_empty(), "{what}: transmitter sends");
+            let (before, after) = sent.split_at(sent.len() / 2);
+            for &packet in before {
+                original.apply_recv(packet).expect("recv");
+                steps(&mut original);
+            }
+            let mut restored = restore_receiver_endpoint(
+                kind,
+                p,
+                input.len(),
+                &original.state_bytes(),
+                original.written().to_vec(),
+            )
+            .expect("restore");
+            for &packet in after {
+                original.apply_recv(packet).expect("recv original");
+                restored.apply_recv(packet).expect("recv restored");
+                assert_eq!(steps(&mut original), steps(&mut restored), "{what}");
+            }
+            assert_eq!(original.written(), restored.written(), "{what}");
+            assert_eq!(original.state_bytes(), restored.state_bytes(), "{what}");
+        }
+        // Every wire protocol id belongs to exactly one row.
+        assert_eq!(wire_ids, rstp_net::ProtocolId::ALL);
     }
 }

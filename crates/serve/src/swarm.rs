@@ -14,6 +14,7 @@ use crate::hub::MemHub;
 use crate::metrics::ServeReport;
 use crate::server::{run_server, ServeConfig, SessionSpec};
 use crate::udp::{UdpServerTransport, UdpSessionClient};
+use rstp_core::bounds::Family;
 use rstp_core::{Message, SessionId, TimingParams};
 use rstp_net::{
     codec_for, run_transmitter, DriverConfig, DriverOutcome, DriverReport, NetError, Pace,
@@ -281,11 +282,7 @@ const SHARD_STEP_BUDGET_PER_SEC: u64 = 50_000;
 /// so their load is bounded by the client send rate and they pass.
 #[must_use]
 pub fn overload_diagnosis(config: &SwarmConfig) -> Option<String> {
-    let active = matches!(
-        config.kind,
-        ProtocolKind::Gamma { .. } | ProtocolKind::Pipelined { .. }
-    );
-    if !active {
+    if config.kind.class() != Some(Family::Active) {
         return None;
     }
     let tick_us = config.serve.tick.as_micros().max(1) as u64;

@@ -24,10 +24,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rstp_automata::{Automaton, Corruptible, RegisterSpec, Time};
 use rstp_core::protocols::stabilizing::{
-    stab_beta_transmitter, stab_stenning_ack_alphabet, stab_stenning_data_alphabet,
-    StabBetaReceiver, StabStenningReceiver, StabStenningTransmitter,
+    stab_beta_bits_per_block, stab_beta_bound, stab_beta_transmitter, stab_stenning_ack_alphabet,
+    stab_stenning_bound, stab_stenning_data_alphabet, StabBetaReceiver, StabStenningReceiver,
+    StabStenningTransmitter, REG_BETA_R_PENDING_LEN, REG_BETA_T_BLOCK, REG_STAB_R_PENDING_ACK,
+    REG_STAB_T_NEXT,
 };
-use rstp_core::{Message, Packet, RstpAction};
+use rstp_core::{Message, Packet, RstpAction, TimingParams};
 
 /// When and how to corrupt: fire just before the `at_event`-th processed
 /// simulation event, with all random choices derived from `seed`.
@@ -60,6 +62,18 @@ pub struct CorruptionReport {
     pub in_flight: u64,
 }
 
+/// What a corrupted run of a stabilizing family must converge to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Convergence {
+    /// How many final messages of `X` must provably survive the fault.
+    pub floor: usize,
+    /// Whether the surviving tail of `X` must end the written word, or
+    /// may be followed by bounded end-of-run leftovers.
+    pub tail_at_end: bool,
+    /// The stabilization-time bound in ticks after the fault.
+    pub bound_ticks: u64,
+}
+
 impl CorruptionReport {
     /// Whether the fault actually fired.
     #[must_use]
@@ -73,6 +87,60 @@ impl CorruptionReport {
     #[must_use]
     pub fn ack_rewrites(&self) -> u64 {
         self.rewrites.iter().filter(|(old, _)| old.is_ack()).count() as u64
+    }
+
+    /// The convergence target of this fault for `kind` carrying `n`
+    /// messages; `None` for the kinds [`run_corrupted`] rejects.
+    #[must_use]
+    pub fn convergence(
+        &self,
+        kind: ProtocolKind,
+        params: TimingParams,
+        n: usize,
+    ) -> Option<Convergence> {
+        let reg = |regs: &[u64], i: usize| regs.get(i).copied().unwrap_or(0) as usize;
+        let in_flight = self.in_flight as usize;
+        match kind {
+            ProtocolKind::StabStenning { timeout_steps } => {
+                // Every message from the corrupted `next` on must be
+                // delivered, minus one slot per in-flight packet (a stale or
+                // rewritten ack can fake one advance each), one slot if the
+                // corrupted receiver was loaded with a pending ack (it is
+                // sent on its next step and can tag-alias into a fake
+                // advance exactly like a stale one), and a two-message
+                // allowance for the seam itself (one tag-alias re-ack, one
+                // boundary loss).
+                let next = reg(&self.t_regs, REG_STAB_T_NEXT);
+                let pending = usize::from(
+                    self.r_regs.get(REG_STAB_R_PENDING_ACK).copied()
+                        != Some(stab_stenning_ack_alphabet()),
+                );
+                Some(Convergence {
+                    floor: n.saturating_sub(next + in_flight + pending + 2),
+                    tail_at_end: true,
+                    bound_ticks: stab_stenning_bound(params, timeout_steps),
+                })
+            }
+            ProtocolKind::StabBeta { k } => {
+                // The transmitter resumes at block `j0`; its first block may
+                // straddle the corrupted partial burst, stale in-flight
+                // symbols shift the framing, and the receiver's decoded cap
+                // can truncate the tail by the injected garbage — hence the
+                // wider slack. The surviving tail of `X` is contiguous in
+                // the written word but not necessarily at its end: the
+                // receiver may flush bounded leftovers (misframed cap
+                // overrun, end-of-run pending bits) after it.
+                let b = stab_beta_bits_per_block(params, k) as usize;
+                let j0 = reg(&self.t_regs, REG_BETA_T_BLOCK);
+                let pending = reg(&self.r_regs, REG_BETA_R_PENDING_LEN);
+                Some(Convergence {
+                    floor: n.saturating_sub((j0 + 1) * b + pending + in_flight + 2 * b),
+                    tail_at_end: false,
+                    bound_ticks: stab_beta_bound(params, k),
+                })
+            }
+            _ => None,
+        }
     }
 }
 

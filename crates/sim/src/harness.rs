@@ -7,109 +7,11 @@ use crate::runner::{Outcome, SimError, SimRun, SimSettings, Simulation};
 use core::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rstp_automata::{Automaton, TimeDelta};
-use rstp_core::protocols::{
-    stab_beta_transmitter, AlphaReceiver, AlphaTransmitter, AltBitReceiver, AltBitTransmitter,
-    BetaReceiver, BetaTransmitter, FramedReceiver, FramedTransmitter, GammaReceiver,
-    GammaTransmitter, PipelinedReceiver, PipelinedTransmitter, ProtocolError, StabBetaReceiver,
-    StabStenningReceiver, StabStenningTransmitter, StenningReceiver, StenningTransmitter,
-};
-use rstp_core::{Message, RstpAction, TimingParams, TimingParamsExt};
+use rstp_automata::TimeDelta;
+use rstp_core::protocols::{PairVisitor, ProtocolError, Receiver, Transmitter};
+use rstp_core::{Message, TimingParams};
 
-/// Which protocol to instantiate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProtocolKind {
-    /// `A^α` — Figure 1, one raw bit per `δ1`-step round.
-    Alpha,
-    /// `A^β(k)` — Figure 3, multiset-coded bursts with counted idling.
-    Beta {
-        /// Packet alphabet size.
-        k: u64,
-    },
-    /// `A^γ(k)` — Figure 4, multiset-coded bursts clocked by acks.
-    Gamma {
-        /// Packet alphabet size.
-        k: u64,
-    },
-    /// Alternating-bit baseline (timeout-driven retransmission).
-    AltBit {
-        /// Retransmission period in steps; `None` = safe default.
-        timeout_steps: Option<u64>,
-    },
-    /// Self-delimiting `A^β(k)` with an in-band length header.
-    Framed {
-        /// Packet alphabet size.
-        k: u64,
-    },
-    /// The §7 window-optimized `A^β(k)`: wait phase shortened using the
-    /// run's `d_lo` (experiment E8).
-    BetaWindow {
-        /// Packet alphabet size.
-        k: u64,
-    },
-    /// Stenning's \[Ste76\] baseline: unbounded sequence numbers,
-    /// loss/dup/reorder-tolerant.
-    Stenning {
-        /// Retransmission period in steps; `None` = safe default.
-        timeout_steps: Option<u64>,
-    },
-    /// The pipelined active extension `A^δ(k, w)`: window-`w` `gamma` with
-    /// tag-carrying bursts (wire alphabet `w·k`).
-    Pipelined {
-        /// Base packet alphabet size.
-        k: u64,
-        /// Window size (`2` is the default configuration).
-        window: u64,
-    },
-    /// Self-stabilizing Stenning: tags mod 4 plus a flush/sync recovery
-    /// ladder; converges from arbitrary corrupted state.
-    StabStenning {
-        /// Retransmission period in steps; `None` = safe default.
-        timeout_steps: Option<u64>,
-    },
-    /// Self-stabilizing `A^β(k)`: lengthened inter-burst silence plus
-    /// gap-reset framing at the receiver.
-    StabBeta {
-        /// Packet alphabet size.
-        k: u64,
-    },
-}
-
-impl ProtocolKind {
-    /// The protocol's burst size under `params` (1 for the per-message
-    /// protocols) — what the `ReverseBurst` adversary should group by.
-    #[must_use]
-    pub fn burst_size(self, params: TimingParams) -> u64 {
-        match self {
-            ProtocolKind::Alpha
-            | ProtocolKind::AltBit { .. }
-            | ProtocolKind::Stenning { .. }
-            | ProtocolKind::StabStenning { .. } => 1,
-            ProtocolKind::Beta { .. }
-            | ProtocolKind::Framed { .. }
-            | ProtocolKind::BetaWindow { .. }
-            | ProtocolKind::StabBeta { .. } => params.delta1(),
-            ProtocolKind::Gamma { .. } | ProtocolKind::Pipelined { .. } => params.delta2(),
-        }
-    }
-
-    /// A short stable name for tables.
-    #[must_use]
-    pub fn name(self) -> String {
-        match self {
-            ProtocolKind::Alpha => "alpha".into(),
-            ProtocolKind::Beta { k } => format!("beta(k={k})"),
-            ProtocolKind::Gamma { k } => format!("gamma(k={k})"),
-            ProtocolKind::AltBit { .. } => "altbit".into(),
-            ProtocolKind::Framed { k } => format!("framed(k={k})"),
-            ProtocolKind::BetaWindow { k } => format!("beta-window(k={k})"),
-            ProtocolKind::Stenning { .. } => "stenning".into(),
-            ProtocolKind::Pipelined { k, window } => format!("pipelined(k={k},w={window})"),
-            ProtocolKind::StabStenning { .. } => "stab-stenning".into(),
-            ProtocolKind::StabBeta { k } => format!("stab-beta(k={k})"),
-        }
-    }
-}
+pub use rstp_core::ProtocolKind;
 
 /// Full configuration of one simulated run.
 #[derive(Clone, Copy, Debug)]
@@ -205,22 +107,6 @@ pub(crate) fn settings_of(cfg: &RunConfig) -> SimSettings {
     }
 }
 
-fn run_pair<T, R>(
-    transmitter: T,
-    receiver: R,
-    input: &[Message],
-    cfg: &RunConfig,
-    step: &mut dyn crate::adversary::StepAdversary,
-    delivery: &mut dyn crate::adversary::DeliveryAdversary,
-) -> Result<SimRun, HarnessError>
-where
-    T: Automaton<Action = RstpAction>,
-    R: Automaton<Action = RstpAction>,
-{
-    let sim = Simulation::new(transmitter, receiver, settings_of(cfg));
-    Ok(sim.run(input, step, delivery)?)
-}
-
 /// Builds the configured protocol pair and runs it under *caller-supplied*
 /// adversaries, ignoring `cfg.step` / `cfg.delivery` — the entry point for
 /// scripted scenarios (bug reproducers, the `rstp-check` fuzzer) that need
@@ -240,91 +126,26 @@ pub fn run_with_adversaries(
     step: &mut dyn crate::adversary::StepAdversary,
     delivery: &mut dyn crate::adversary::DeliveryAdversary,
 ) -> Result<SimRun, HarnessError> {
-    match cfg.kind {
-        ProtocolKind::Alpha => run_pair(
-            AlphaTransmitter::new(cfg.params, input.to_vec()),
-            AlphaReceiver::new(),
-            input,
-            cfg,
-            step,
-            delivery,
-        ),
-        ProtocolKind::Beta { k } => run_pair(
-            BetaTransmitter::new(cfg.params, k, input)?,
-            BetaReceiver::new(cfg.params, k, input.len())?,
-            input,
-            cfg,
-            step,
-            delivery,
-        ),
-        ProtocolKind::Gamma { k } => run_pair(
-            GammaTransmitter::new(cfg.params, k, input)?,
-            GammaReceiver::new(cfg.params, k, input.len())?,
-            input,
-            cfg,
-            step,
-            delivery,
-        ),
-        ProtocolKind::AltBit { timeout_steps } => run_pair(
-            AltBitTransmitter::new(cfg.params, input.to_vec(), timeout_steps),
-            AltBitReceiver::new(),
-            input,
-            cfg,
-            step,
-            delivery,
-        ),
-        ProtocolKind::Framed { k } => run_pair(
-            FramedTransmitter::new(cfg.params, k, input)?,
-            FramedReceiver::new(cfg.params, k)?,
-            input,
-            cfg,
-            step,
-            delivery,
-        ),
-        ProtocolKind::BetaWindow { k } => {
-            let ext = window_params(cfg);
-            run_pair(
-                ext.passive_transmitter(k, input)?,
-                ext.passive_receiver(k, input.len())?,
-                input,
-                cfg,
-                step,
-                delivery,
-            )
-        }
-        ProtocolKind::Stenning { timeout_steps } => run_pair(
-            StenningTransmitter::new(cfg.params, input.to_vec(), timeout_steps),
-            StenningReceiver::new(),
-            input,
-            cfg,
-            step,
-            delivery,
-        ),
-        ProtocolKind::StabStenning { timeout_steps } => run_pair(
-            StabStenningTransmitter::new(cfg.params, input.to_vec(), timeout_steps),
-            StabStenningReceiver::new(),
-            input,
-            cfg,
-            step,
-            delivery,
-        ),
-        ProtocolKind::StabBeta { k } => run_pair(
-            stab_beta_transmitter(cfg.params, k, input)?,
-            StabBetaReceiver::new(cfg.params, k, input.len())?,
-            input,
-            cfg,
-            step,
-            delivery,
-        ),
-        ProtocolKind::Pipelined { k, window } => run_pair(
-            PipelinedTransmitter::with_window(cfg.params, k, window, input)?,
-            PipelinedReceiver::with_window(cfg.params, k, window, input.len())?,
-            input,
-            cfg,
-            step,
-            delivery,
-        ),
+    struct Run<'a> {
+        cfg: &'a RunConfig,
+        input: &'a [Message],
+        step: &'a mut dyn crate::adversary::StepAdversary,
+        delivery: &'a mut dyn crate::adversary::DeliveryAdversary,
     }
+    impl PairVisitor for Run<'_> {
+        type Output = Result<SimRun, SimError>;
+        fn visit<T: Transmitter, R: Receiver>(self, t: T, r: R) -> Self::Output {
+            Simulation::new(t, r, settings_of(self.cfg)).run(self.input, self.step, self.delivery)
+        }
+    }
+    let d_lo = TimeDelta::from_ticks(cfg.d_lo_ticks);
+    let run = Run {
+        cfg,
+        input,
+        step,
+        delivery,
+    };
+    Ok(cfg.kind.with_pair(cfg.params, d_lo, input, run)??)
 }
 
 /// Builds the configured protocol pair, runs it on `input`, and checks the
@@ -366,20 +187,6 @@ pub fn run_configured(cfg: &RunConfig, input: &[Message]) -> Result<RunOutput, H
         trace: run.trace,
         report,
     })
-}
-
-fn window_params(cfg: &RunConfig) -> TimingParamsExt {
-    let mut ext = TimingParamsExt::from_classic(cfg.params);
-    if cfg.d_lo_ticks > 0 {
-        ext = TimingParamsExt::new(
-            ext.transmitter(),
-            ext.receiver(),
-            TimeDelta::from_ticks(cfg.d_lo_ticks),
-            cfg.params.d(),
-        )
-        .expect("d_lo <= d validated by RunConfig users");
-    }
-    ext
 }
 
 /// A deterministic pseudorandom input of `n` message bits.
@@ -694,37 +501,5 @@ mod tests {
         assert_eq!(random_input(32, 1), random_input(32, 1));
         assert_ne!(random_input(32, 1), random_input(32, 2));
         assert_eq!(random_input(0, 1).len(), 0);
-    }
-
-    #[test]
-    fn kind_metadata() {
-        let p = params();
-        assert_eq!(ProtocolKind::Alpha.burst_size(p), 1);
-        assert_eq!(ProtocolKind::Beta { k: 2 }.burst_size(p), 6);
-        assert_eq!(ProtocolKind::Gamma { k: 2 }.burst_size(p), 3);
-        assert_eq!(ProtocolKind::Beta { k: 2 }.name(), "beta(k=2)");
-        assert_eq!(
-            ProtocolKind::AltBit {
-                timeout_steps: None
-            }
-            .name(),
-            "altbit"
-        );
-        assert_eq!(
-            ProtocolKind::StabStenning {
-                timeout_steps: None
-            }
-            .burst_size(p),
-            1
-        );
-        assert_eq!(ProtocolKind::StabBeta { k: 4 }.burst_size(p), 6);
-        assert_eq!(
-            ProtocolKind::StabStenning {
-                timeout_steps: None
-            }
-            .name(),
-            "stab-stenning"
-        );
-        assert_eq!(ProtocolKind::StabBeta { k: 4 }.name(), "stab-beta(k=4)");
     }
 }

@@ -9,15 +9,15 @@
 //! real ports), see the walkthrough in `docs/NET.md` or run
 //! `rstp net help`.
 
-use rstp::core::protocols::{BetaReceiver, BetaTransmitter};
-use rstp::core::TimingParams;
-use rstp::net::{run_endpoint, DriverConfig, ProtocolId, TickClock, UdpTransport, WireCodec};
+use rstp::core::{ProtocolKind, TimingParams};
+use rstp::net::{codec_for, run_receiver, run_transmitter, DriverConfig, TickClock, UdpTransport};
 use rstp::sim::harness::random_input;
 use std::time::{Duration, Instant};
 
 fn main() {
     let params = TimingParams::from_ticks(1, 2, 8).expect("valid parameters");
     let k = 4u64;
+    let kind = ProtocolKind::Beta { k };
     let n = 256;
     let tick = Duration::from_micros(500);
     let input = random_input(n, 42);
@@ -28,7 +28,7 @@ fn main() {
     );
 
     // Two cross-wired sockets on 127.0.0.1, one per endpoint.
-    let codec = WireCodec::new(ProtocolId::Beta, k).expect("k fits the wire");
+    let codec = codec_for(kind).expect("k fits the wire");
     let (mut t_end, mut r_end) = UdpTransport::loopback_pair(codec).expect("loopback sockets");
     println!(
         "transmitter {} <-> receiver {}",
@@ -41,20 +41,14 @@ fn main() {
     let epoch = Instant::now() + Duration::from_millis(5);
     let t_clock = TickClock::with_epoch(epoch, tick);
     let r_clock = TickClock::with_epoch(epoch, tick);
-    let t_cfg = DriverConfig::new(params, tick).with_max_wall(Duration::from_secs(30));
-    let r_cfg = DriverConfig::new(params, tick)
-        .with_expected_writes(n)
-        .with_max_wall(Duration::from_secs(30));
+    let cfg = DriverConfig::new(params, tick).with_max_wall(Duration::from_secs(30));
 
     let t_input = input.clone();
     let transmitter = std::thread::spawn(move || {
-        let automaton = BetaTransmitter::new(params, k, &t_input).expect("beta transmitter");
-        run_endpoint(&automaton, &mut t_end, t_clock, &t_cfg)
+        run_transmitter(kind, params, &t_input, &mut t_end, t_clock, &cfg)
     });
-    let receiver = std::thread::spawn(move || {
-        let automaton = BetaReceiver::new(params, k, n).expect("beta receiver");
-        run_endpoint(&automaton, &mut r_end, r_clock, &r_cfg)
-    });
+    let receiver =
+        std::thread::spawn(move || run_receiver(kind, params, n, &mut r_end, r_clock, &cfg));
 
     let t_report = transmitter.join().expect("join").expect("transmitter run");
     let r_report = receiver.join().expect("join").expect("receiver run");

@@ -821,7 +821,7 @@ fn scan_sinks(file: &SourceFile, body: (usize, usize), attrs: &[bool]) -> Vec<Si
                         what: ".send() on a bounded channel".to_string(),
                     });
                 }
-                "sleep" | "park_timeout" | "park" if called && !prev_is('.') => {
+                "sleep" | "park_timeout" | "park" | "yield_now" if called && !prev_is('.') => {
                     out.push(Sink {
                         kind: SinkKind::Block,
                         line: t.line,

@@ -97,17 +97,26 @@ const PANIC_ENTRIES: &[Matcher] = &[
         name: "run_shard",
     },
     Matcher::TypeMethod {
-        type_name: "RingProducer",
-        name: "push",
-    },
-    Matcher::TypeMethod {
         type_name: "ShardRecorder",
         name: "record",
     },
+    Matcher::TypeMethod {
+        type_name: "ShardRecorder",
+        name: "record_frame",
+    },
+    Matcher::TypeMethod {
+        type_name: "ShardRecorder",
+        name: "record_durable",
+    },
+    Matcher::TypeMethod {
+        type_name: "ShardRecorder",
+        name: "handoff",
+    },
 ];
 
-/// Entry points for the blocking and allocation passes: the record
-/// ring's append path and serve's per-frame ingress/egress loops.
+/// Entry points for the blocking and allocation passes: the shard-side
+/// recorder (event, borrowed-frame and durable records, and the per-wake
+/// handoff) and serve's per-frame ingress/egress loops.
 /// `run_shard` itself is *not* here — its deadline sleep (through
 /// `TickClock::sleep_until`) is the designed blocking point, and its
 /// admission work (session setup) may allocate; the per-frame work it
@@ -117,12 +126,20 @@ const PANIC_ENTRIES: &[Matcher] = &[
 /// is cold-path allocation, not steady state.
 const STEADY_STATE_ENTRIES: &[Matcher] = &[
     Matcher::TypeMethod {
-        type_name: "RingProducer",
-        name: "push",
+        type_name: "ShardRecorder",
+        name: "record",
     },
     Matcher::TypeMethod {
         type_name: "ShardRecorder",
-        name: "record",
+        name: "record_frame",
+    },
+    Matcher::TypeMethod {
+        type_name: "ShardRecorder",
+        name: "record_durable",
+    },
+    Matcher::TypeMethod {
+        type_name: "ShardRecorder",
+        name: "handoff",
     },
     Matcher::TraitImpl {
         trait_name: "EgressSink",
@@ -316,12 +333,34 @@ mod tests {
     }
 
     #[test]
+    fn blocking_pass_flags_a_yield_under_the_recorder_handoff() {
+        // Retrying the handoff across scheduler yields would let a
+        // descheduled writer pace the shard: a yield is a blocking sink.
+        let a = SourceFile::new(
+            "crates/record/src/writer.rs",
+            "pub struct ShardRecorder;\n\
+             impl ShardRecorder {\n\
+               pub fn handoff(&mut self) { self.insist(); }\n\
+               fn insist(&mut self) { std::thread::yield_now(); }\n\
+             }",
+        );
+        let g = build(std::slice::from_ref(&a));
+        let (findings, _) = run_passes(&g);
+        assert!(
+            findings.iter().any(|f| f.rule == "blocking-in-nonblocking"
+                && f.message.contains("yield_now")
+                && f.message.contains("ShardRecorder::handoff")),
+            "{findings:?}"
+        );
+    }
+
+    #[test]
     fn alloc_pass_flags_to_vec_on_the_frame_path() {
         let a = SourceFile::new(
-            "crates/record/src/ring.rs",
-            "pub struct RingProducer;\n\
-             impl RingProducer {\n\
-               pub fn push(&self, bytes: &[u8]) { let _ = bytes.to_vec(); }\n\
+            "crates/record/src/writer.rs",
+            "pub struct ShardRecorder;\n\
+             impl ShardRecorder {\n\
+               pub fn record_frame(&mut self, wire: &[u8]) { let _ = wire.to_vec(); }\n\
              }",
         );
         let g = build(std::slice::from_ref(&a));
@@ -337,10 +376,10 @@ mod tests {
     #[test]
     fn clean_steady_state_produces_no_findings() {
         let a = SourceFile::new(
-            "crates/record/src/ring.rs",
-            "pub struct RingProducer;\n\
-             impl RingProducer {\n\
-               pub fn push(&self, b: u8) -> bool {\n\
+            "crates/record/src/writer.rs",
+            "pub struct ShardRecorder;\n\
+             impl ShardRecorder {\n\
+               pub fn handoff(&self, b: u8) -> bool {\n\
                  match self.q.try_lock() { Ok(mut g) => { g.set(b); true } Err(_) => false }\n\
                }\n\
              }",

@@ -76,14 +76,14 @@ pub const RULES: &[RuleInfo] = &[
         invariant: "Y is always a prefix of X: no protocol entry point reaches a panic",
         description: "an unwrap/expect/panic!/variable-index sink reachable from \
                       Automaton::apply/output, codec encode/decode, the serve shard tick, or \
-                      the record append path — reported with the full call chain",
+                      the shard-side recorder — reported with the full call chain",
     },
     RuleInfo {
         id: "blocking-in-nonblocking",
-        invariant: "the record ring and serve per-frame loops are strictly nonblocking",
+        invariant: "the shard-side recorder and serve per-frame loops are strictly nonblocking",
         description: "a lock()/recv()/bounded send()/sleep/join sink reachable from \
-                      RingProducer::push, ShardRecorder::record, EgressSink::send_batch, \
-                      ServeTransport::recv_batch, or SessionEndpoint::step/apply_recv",
+                      ShardRecorder::record/record_frame/record_durable/handoff, \
+                      EgressSink::send_batch, or ServeTransport::recv_batch",
     },
     RuleInfo {
         id: "alloc-in-steady-state",

@@ -150,7 +150,7 @@ impl Field for usize {
 /// A strict flag byte: `0` or `1`, anything else is an error.
 impl Field for bool {
     fn encode_field(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(*self));
+        u8::from(*self).encode_field(out);
     }
 
     fn decode_field(cur: &mut Cur<'_>) -> Option<Self> {
@@ -173,12 +173,12 @@ impl Field for Vec<bool> {
                 byte |= 1 << (i % 8);
             }
             if i % 8 == 7 {
-                out.push(byte);
+                byte.encode_field(out);
                 byte = 0;
             }
         }
         if !self.len().is_multiple_of(8) {
-            out.push(byte);
+            byte.encode_field(out);
         }
     }
 
@@ -238,7 +238,14 @@ impl Field for Option<u64> {
 impl Field for Multiset {
     fn encode_field(&self, out: &mut Vec<u8>) {
         self.universe().encode_field(out);
-        VecDeque::from(self.to_sorted_vec()).encode_field(out);
+        // The sorted symbols, laid out as the `VecDeque<u64>` they
+        // decode into, without building one.
+        (self.len() as u32).encode_field(out);
+        for (symbol, count) in self.iter() {
+            for _ in 0..count {
+                symbol.encode_field(out);
+            }
+        }
     }
 
     fn decode_field(cur: &mut Cur<'_>) -> Option<Self> {
@@ -375,6 +382,21 @@ mod tests {
             resets: 1,
             decode_failures: 0,
         });
+    }
+
+    /// A multiset writes the bytes of its universe followed by its
+    /// sorted symbols as a `VecDeque<u64>` — the layout it decodes from.
+    #[test]
+    fn multiset_layout_is_universe_then_sorted_symbol_queue() {
+        for symbols in [&[][..], &[2], &[3, 0, 3, 1, 0, 3]] {
+            let m = Multiset::from_symbols(4, symbols);
+            let mut direct = Vec::new();
+            m.encode_field(&mut direct);
+            let mut queued = Vec::new();
+            m.universe().encode_field(&mut queued);
+            VecDeque::from(m.to_sorted_vec()).encode_field(&mut queued);
+            assert_eq!(direct, queued, "{symbols:?}");
+        }
     }
 
     #[test]

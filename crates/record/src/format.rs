@@ -143,7 +143,7 @@ pub struct RunMeta {
 pub struct RecStats {
     /// Events that made it into the file.
     pub recorded: u64,
-    /// Events dropped at the ring (full buffer or contended lock).
+    /// Events shed because a shard's batch reached the byte bound.
     pub dropped: u64,
     /// Writer incarnation the counters belong to (0 for v1 files).
     pub epoch: u32,
@@ -294,34 +294,85 @@ pub fn read_header(buf: &[u8]) -> Result<usize, RecordError> {
     Ok(HEADER_LEN)
 }
 
-/// Appends one length-prefixed record.
+/// Appends one length-prefixed record. The prefix is reserved first
+/// and patched once the payload is in place, so encoding writes
+/// straight into `out` with no intermediate buffer.
 pub fn encode_record(rec: &Record, out: &mut Vec<u8>) {
-    let mut payload = Vec::with_capacity(64);
+    let start = begin_record(out);
     match rec {
         Record::Meta(m) => {
-            payload.push(KIND_META);
-            m.shard.encode_field(&mut payload);
-            m.c1.encode_field(&mut payload);
-            m.c2.encode_field(&mut payload);
-            m.d.encode_field(&mut payload);
-            m.tick_micros.encode_field(&mut payload);
-            m.seed.encode_field(&mut payload);
+            out.push(KIND_META);
+            m.shard.encode_field(out);
+            m.c1.encode_field(out);
+            m.c2.encode_field(out);
+            m.d.encode_field(out);
+            m.tick_micros.encode_field(out);
+            m.seed.encode_field(out);
         }
-        Record::Event(ev) => encode_event(ev, &mut payload),
+        Record::Event(ev) => encode_event(ev, out),
         Record::Stats(s) => {
-            payload.push(KIND_STATS);
-            s.recorded.encode_field(&mut payload);
-            s.dropped.encode_field(&mut payload);
-            s.epoch.encode_field(&mut payload);
+            out.push(KIND_STATS);
+            s.recorded.encode_field(out);
+            s.dropped.encode_field(out);
+            s.epoch.encode_field(out);
         }
     }
-    u32::try_from(payload.len())
-        .unwrap_or(u32::MAX)
-        .encode_field(out);
-    out.extend_from_slice(&payload);
+    end_record(out, start);
 }
 
-fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
+/// Which way a recorded frame travelled: the `Rx`/`Tx` pair of
+/// [`Event`], for frames encoded from borrowed bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FrameDir {
+    /// Applied as a `recv` input ([`Event::Rx`]).
+    Rx,
+    /// Produced by a local step ([`Event::Tx`]).
+    Tx,
+}
+
+/// Appends one length-prefixed `Rx`/`Tx` record for a frame the caller
+/// only borrows — byte-identical to [`encode_record`] of the owned
+/// [`Event::Rx`]/[`Event::Tx`], without the owned copy.
+pub fn encode_frame(dir: FrameDir, at_micros: u64, session: u32, wire: &[u8], out: &mut Vec<u8>) {
+    let start = begin_record(out);
+    frame_body(dir, at_micros, session, wire, out);
+    end_record(out, start);
+}
+
+/// Reserves a record's length prefix; returns where it starts.
+fn begin_record(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    start
+}
+
+/// Patches the prefix reserved at `start` with the payload length.
+fn end_record(out: &mut [u8], start: usize) {
+    let len = out.len().saturating_sub(start + 4);
+    let len = u32::try_from(len).unwrap_or(u32::MAX).to_be_bytes();
+    if let Some(prefix) = out.get_mut(start..start + 4) {
+        prefix.copy_from_slice(&len);
+    }
+}
+
+/// A length-prefixed byte string (`u16` length, bytes capped to fit).
+fn short_bytes(bytes: &[u8], out: &mut Vec<u8>) {
+    let len = u16::try_from(bytes.len()).unwrap_or(u16::MAX);
+    len.encode_field(out);
+    out.extend_from_slice(bytes.get(..usize::from(len)).unwrap_or(bytes));
+}
+
+fn frame_body(dir: FrameDir, at_micros: u64, session: u32, wire: &[u8], out: &mut Vec<u8>) {
+    out.push(match dir {
+        FrameDir::Rx => KIND_RX,
+        FrameDir::Tx => KIND_TX,
+    });
+    at_micros.encode_field(out);
+    session.encode_field(out);
+    short_bytes(wire, out);
+}
+
+fn encode_event(ev: &Event, out: &mut Vec<u8>) {
     match ev {
         Event::Admit {
             at_micros,
@@ -329,68 +380,53 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             kind,
             n,
         } => {
-            payload.push(KIND_ADMIT);
-            at_micros.encode_field(payload);
-            session.encode_field(payload);
-            kind.encode_tag(payload);
-            n.encode_field(payload);
+            out.push(KIND_ADMIT);
+            at_micros.encode_field(out);
+            session.encode_field(out);
+            kind.encode_tag(out);
+            n.encode_field(out);
         }
         Event::Rx {
             at_micros,
             session,
             wire,
-        }
-        | Event::Tx {
+        } => frame_body(FrameDir::Rx, *at_micros, *session, wire, out),
+        Event::Tx {
             at_micros,
             session,
             wire,
-        } => {
-            payload.push(if matches!(ev, Event::Rx { .. }) {
-                KIND_RX
-            } else {
-                KIND_TX
-            });
-            at_micros.encode_field(payload);
-            session.encode_field(payload);
-            u16::try_from(wire.len())
-                .unwrap_or(u16::MAX)
-                .encode_field(payload);
-            payload.extend_from_slice(&wire[..wire.len().min(usize::from(u16::MAX))]);
-        }
+        } => frame_body(FrameDir::Tx, *at_micros, *session, wire, out),
         Event::WheelPop {
             at_micros,
             session,
             due_tick,
             late,
         } => {
-            payload.push(KIND_POP);
-            at_micros.encode_field(payload);
-            session.encode_field(payload);
-            due_tick.encode_field(payload);
-            payload.push(u8::from(*late));
+            out.push(KIND_POP);
+            at_micros.encode_field(out);
+            session.encode_field(out);
+            due_tick.encode_field(out);
+            out.push(u8::from(*late));
         }
         Event::DeadlineMiss {
             at_micros,
             session,
             due_tick,
         } => {
-            payload.push(KIND_MISS);
-            at_micros.encode_field(payload);
-            session.encode_field(payload);
-            due_tick.encode_field(payload);
+            out.push(KIND_MISS);
+            at_micros.encode_field(out);
+            session.encode_field(out);
+            due_tick.encode_field(out);
         }
         Event::Snapshot {
             at_micros,
             session,
             state,
         } => {
-            payload.push(KIND_SNAPSHOT);
-            at_micros.encode_field(payload);
-            session.encode_field(payload);
-            u16::try_from(state.len())
-                .unwrap_or(u16::MAX)
-                .encode_field(payload);
-            payload.extend_from_slice(&state[..state.len().min(usize::from(u16::MAX))]);
+            out.push(KIND_SNAPSHOT);
+            at_micros.encode_field(out);
+            session.encode_field(out);
+            short_bytes(state, out);
         }
         Event::Write {
             at_micros,
@@ -398,11 +434,11 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             written,
             bit,
         } => {
-            payload.push(KIND_WRITE);
-            at_micros.encode_field(payload);
-            session.encode_field(payload);
-            written.encode_field(payload);
-            payload.push(u8::from(*bit));
+            out.push(KIND_WRITE);
+            at_micros.encode_field(out);
+            session.encode_field(out);
+            written.encode_field(out);
+            out.push(u8::from(*bit));
         }
         Event::Verdict {
             at_micros,
@@ -410,26 +446,11 @@ fn encode_event(ev: &Event, payload: &mut Vec<u8>) {
             completed,
             written,
         } => {
-            payload.push(KIND_VERDICT);
-            at_micros.encode_field(payload);
-            session.encode_field(payload);
-            payload.push(u8::from(*completed));
-            u32::try_from(written.len())
-                .unwrap_or(u32::MAX)
-                .encode_field(payload);
-            let mut byte = 0u8;
-            for (i, bit) in written.iter().enumerate() {
-                if *bit {
-                    byte |= 1 << (i % 8);
-                }
-                if i % 8 == 7 {
-                    payload.push(byte);
-                    byte = 0;
-                }
-            }
-            if written.len() % 8 != 0 {
-                payload.push(byte);
-            }
+            out.push(KIND_VERDICT);
+            at_micros.encode_field(out);
+            session.encode_field(out);
+            out.push(u8::from(*completed));
+            written.encode_field(out);
         }
     }
 }
@@ -862,6 +883,109 @@ mod tests {
             0, 0, 0, 6, //
             0, 0, 0, 0, 0, 0, 0, 12, //
             1,  //
+        ];
+        assert_eq!(buf, expected);
+    }
+
+    /// Golden bytes for the variable-body kinds the pin above leaves
+    /// out: Admit (with and without a timeout), Rx, Tx, DeadlineMiss,
+    /// Snapshot and Verdict (a partial trailing byte of packed bits).
+    #[test]
+    fn golden_bytes_pin_every_event_kind() {
+        let mut buf = Vec::new();
+        for rec in [
+            Event::Admit {
+                at_micros: 0x0506,
+                session: 3,
+                kind: ProtocolKind::Pipelined { k: 4, window: 2 },
+                n: 16,
+            },
+            Event::Admit {
+                at_micros: 1,
+                session: 4,
+                kind: ProtocolKind::AltBit {
+                    timeout_steps: Some(9),
+                },
+                n: 2,
+            },
+            Event::Rx {
+                at_micros: 7,
+                session: 2,
+                wire: vec![0xDE, 0xAD, 0xBE],
+            },
+            Event::Tx {
+                at_micros: 8,
+                session: 2,
+                wire: vec![0x01],
+            },
+            Event::DeadlineMiss {
+                at_micros: 9,
+                session: 4,
+                due_tick: 5,
+            },
+            Event::Snapshot {
+                at_micros: 10,
+                session: 5,
+                state: vec![0xAA, 0xBB],
+            },
+            Event::Verdict {
+                at_micros: 11,
+                session: 6,
+                completed: true,
+                written: [1, 0, 1, 1, 0, 0, 0, 1, 1, 0].map(|b| b == 1).to_vec(),
+            },
+        ] {
+            encode_record(&Record::Event(rec), &mut buf);
+        }
+        let expected: Vec<u8> = vec![
+            // Admit: len 43, kind 2, at 0x0506, session 3, tag 8 (pipelined),
+            // k 4, window 2, timeout flag 0 + 0, n 16
+            0, 0, 0, 43, 2, //
+            0, 0, 0, 0, 0, 0, 5, 6, //
+            0, 0, 0, 3, //
+            8, //
+            0, 0, 0, 0, 0, 0, 0, 4, //
+            0, 0, 0, 0, 0, 0, 0, 2, //
+            0, 0, 0, 0, 0, 0, 0, 0, 0, //
+            0, 0, 0, 16, //
+            // Admit: len 43, kind 2, at 1, session 4, tag 4 (altbit),
+            // k 0, window 0, timeout flag 1 + 9, n 2
+            0, 0, 0, 43, 2, //
+            0, 0, 0, 0, 0, 0, 0, 1, //
+            0, 0, 0, 4, //
+            4, //
+            0, 0, 0, 0, 0, 0, 0, 0, //
+            0, 0, 0, 0, 0, 0, 0, 0, //
+            1, 0, 0, 0, 0, 0, 0, 0, 9, //
+            0, 0, 0, 2, //
+            // Rx: len 18, kind 3, at 7, session 2, wire len 3 + bytes
+            0, 0, 0, 18, 3, //
+            0, 0, 0, 0, 0, 0, 0, 7, //
+            0, 0, 0, 2, //
+            0, 3, 0xDE, 0xAD, 0xBE, //
+            // Tx: len 16, kind 4, at 8, session 2, wire len 1 + byte
+            0, 0, 0, 16, 4, //
+            0, 0, 0, 0, 0, 0, 0, 8, //
+            0, 0, 0, 2, //
+            0, 1, 0x01, //
+            // DeadlineMiss: len 21, kind 6, at 9, session 4, due 5
+            0, 0, 0, 21, 6, //
+            0, 0, 0, 0, 0, 0, 0, 9, //
+            0, 0, 0, 4, //
+            0, 0, 0, 0, 0, 0, 0, 5, //
+            // Snapshot: len 17, kind 9, at 10, session 5, state len 2 + bytes
+            0, 0, 0, 17, 9, //
+            0, 0, 0, 0, 0, 0, 0, 10, //
+            0, 0, 0, 5, //
+            0, 2, 0xAA, 0xBB, //
+            // Verdict: len 20, kind 7, at 11, session 6, completed 1,
+            // n 10, bits LSB-first: 0b1000_1101, 0b0000_0001
+            0, 0, 0, 20, 7, //
+            0, 0, 0, 0, 0, 0, 0, 11, //
+            0, 0, 0, 6, //
+            1, //
+            0, 0, 0, 10, //
+            0x8D, 0x01, //
         ];
         assert_eq!(buf, expected);
     }

@@ -10,12 +10,15 @@
 //! `rstp-check` bridge).
 //!
 //! The cardinal rule is *load independence*: recording must never pace
-//! the data path. The producer side is strictly nonblocking — a bounded
-//! ring accepts events with a single `try_lock`, and saturation or
-//! contention drops the event and counts it, loudly, rather than
-//! stalling a shard past its `c2` window (see [`ring`](mod@ring)). A
-//! writer thread per shard drains the ring to disk ([`writer`]) in a
-//! versioned, length-prefixed format with pinned golden bytes
+//! the data path. A shard encodes each event straight into record bytes,
+//! into a batch it owns ([`ShardRecorder`]), and hands the batch over
+//! once per wake with a single `try_lock` on a byte-bounded buffer
+//! ([`ring`](mod@ring)). A busy lock or a full buffer leaves the batch
+//! with the shard for its next wake; only an event that would take the
+//! batch past the byte bound is dropped, and counted, loudly, rather
+//! than stalling a shard past its `c2` window. A writer thread per
+//! shard writes the handed-over bytes to disk as they are ([`writer`])
+//! in a versioned, length-prefixed format with pinned golden bytes
 //! ([`format`](mod@format)); [`reader`] and [`index`] turn the files back
 //! into per-session histories.
 //!
@@ -36,10 +39,10 @@ pub mod ring;
 pub mod writer;
 
 pub use format::{
-    Event, RecStats, Record, RecordError, RunMeta, HEADER_LEN, MAX_RECORD_LEN, RECORD_MAGIC,
-    RECORD_VERSION,
+    Event, FrameDir, RecStats, Record, RecordError, RunMeta, HEADER_LEN, MAX_RECORD_LEN,
+    RECORD_MAGIC, RECORD_VERSION,
 };
 pub use index::{SessionHistory, SessionIndex};
 pub use reader::Recording;
 pub use ring::{ring, RingConsumer, RingProducer};
-pub use writer::{shard_file_name, RecorderSet, RecorderTotals, ShardRecorder, DEFAULT_RING_CAP};
+pub use writer::{shard_file_name, RecorderSet, RecorderTotals, ShardRecorder, DEFAULT_RING_BYTES};

@@ -1,28 +1,31 @@
-//! The bounded, strictly nonblocking event ring between a shard and its
-//! writer thread.
+//! The bounded byte buffer between a shard and its writer thread.
 //!
 //! The data-path contract is absolute: recording must never pace the
-//! shard. The producer side therefore takes the buffer lock only with
-//! `try_lock`, retried for a small bounded number of spins — if the
-//! writer still holds it after those, or the ring is at capacity, the
-//! event is *dropped and counted*, never queued against a blocked
-//! lock. The consumer (the writer thread) is the only side that
-//! blocks; it drains the whole buffer in one swap so the lock is held
-//! for O(1) pointer work, not per-record encoding — which is what
-//! makes the producer's bounded spin all but certain to succeed.
+//! shard. A shard therefore encodes its events itself, into a batch it
+//! owns (see [`ShardRecorder`](crate::ShardRecorder)), and hands the
+//! whole batch over once per wake with a *single* `try_lock`: the batch
+//! is appended to the shared buffer, or simply swapped in when the
+//! buffer is empty. A busy lock or a full buffer costs nothing — the
+//! shard keeps its batch and tries again at its next wake; events are
+//! shed (and counted) only when the shard's own batch would pass the
+//! byte bound. The consumer (the writer thread) is the only side that
+//! blocks; it takes the whole buffer in one pointer swap, so the lock
+//! is held for O(1) work, and writes the bytes to disk as they are.
 //!
 //! Lock discipline: `buf` is the ring's only lock and nests under
 //! nothing — see `analysis/lock-order.toml`, which tracks this file.
 
-use crate::format::Record;
-use std::collections::VecDeque;
+use crate::format::{encode_record, Record};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Shared state between one producer ([`RingProducer`]) and one
+/// Shared state between the producers ([`RingProducer`]) and the one
 /// consumer ([`RingConsumer`]).
 struct Shared {
-    buf: Mutex<VecDeque<Record>>,
+    /// Encoded, length-prefixed records awaiting the writer.
+    buf: Mutex<Vec<u8>>,
+    /// Byte bound on `buf` for per-wake handoffs, and on each
+    /// producer's batch.
     cap: usize,
     recorded: AtomicU64,
     dropped: AtomicU64,
@@ -34,7 +37,7 @@ struct Shared {
     sync_ack: AtomicU64,
 }
 
-/// The shard-side handle: nonblocking push plus the counters.
+/// The producer-side handle: batch handoff plus the counters.
 #[derive(Clone)]
 pub struct RingProducer {
     shared: Arc<Shared>,
@@ -44,17 +47,17 @@ pub struct RingProducer {
 pub struct RingConsumer {
     shared: Arc<Shared>,
     /// Drain target swapped against `buf` under the lock, so the lock
-    /// hold is one pointer swap regardless of how many records are
-    /// pending. Warm after the first cycle — both deques keep their
-    /// grown capacity.
-    scratch: VecDeque<Record>,
+    /// hold is one pointer swap regardless of how many bytes are
+    /// pending. The buffers circulate between shard, ring and writer
+    /// and keep their grown capacity.
+    scratch: Vec<u8>,
 }
 
-/// Creates a ring bounded at `cap` records (at least 1).
+/// Creates a ring bounded at `cap` bytes (at least 1).
 #[must_use]
 pub fn ring(cap: usize) -> (RingProducer, RingConsumer) {
     let shared = Arc::new(Shared {
-        buf: Mutex::new(VecDeque::with_capacity(cap.clamp(1, 4096))),
+        buf: Mutex::new(Vec::new()),
         cap: cap.max(1),
         recorded: AtomicU64::new(0),
         dropped: AtomicU64::new(0),
@@ -62,104 +65,113 @@ pub fn ring(cap: usize) -> (RingProducer, RingConsumer) {
         sync_req: AtomicU64::new(0),
         sync_ack: AtomicU64::new(0),
     });
-    let scratch = VecDeque::with_capacity(cap.clamp(1, 4096));
     (
         RingProducer {
             shared: shared.clone(),
         },
-        RingConsumer { shared, scratch },
+        RingConsumer {
+            shared,
+            scratch: Vec::new(),
+        },
     )
 }
 
-/// How many times `push` re-tries a contended lock before shedding.
-/// The consumer holds the lock for one pointer swap, so a handful of
-/// spins rides out any drain that races a push; the bound keeps the
-/// path strictly nonblocking even if the writer thread is descheduled
-/// mid-swap.
+/// How many times [`push_insist`](RingProducer::push_insist) re-tries a
+/// contended lock between yields. Spins ride out a live swap.
 const PUSH_SPINS: u32 = 64;
 
 /// How many scheduler yields [`push_insist`](RingProducer::push_insist)
-/// spends on top of its spins. Spins ride out a live swap; yields ride
-/// out a writer thread *descheduled* mid-swap, which a spin never
-/// outlasts on a loaded box. Still strictly bounded.
+/// spends on top of its spins. Yields ride out a writer thread
+/// *descheduled* mid-swap, which a spin never outlasts on a loaded
+/// box. Still strictly bounded.
 const INSIST_YIELDS: u32 = 64;
 
+/// Moves `batch` into `buf`: a pointer swap when `buf` is empty (the
+/// batch gets the empty buffer's allocation back), an append otherwise.
+fn take_batch(buf: &mut Vec<u8>, batch: &mut Vec<u8>) {
+    if buf.is_empty() {
+        std::mem::swap(buf, batch);
+    } else {
+        buf.extend_from_slice(batch);
+        batch.clear();
+    }
+}
+
 impl RingProducer {
-    /// One bounded acceptance attempt: spins through a contended lock,
-    /// hands the record back on a full ring or exhausted spins. Counts
-    /// nothing on failure — the callers decide whether to retry or
-    /// shed.
-    fn offer(&self, rec: Record) -> Result<(), Record> {
-        let mut spins = 0;
-        loop {
-            match self.shared.buf.try_lock() {
-                Ok(mut q) => {
-                    if q.len() < self.shared.cap {
-                        q.push_back(rec);
-                        drop(q);
-                        self.shared.recorded.fetch_add(1, Ordering::Relaxed);
-                        return Ok(());
-                    }
-                    // Full: only the writer's own drain cadence frees
-                    // space, far beyond what a spin can wait out.
-                    return Err(rec);
-                }
-                Err(_) if spins < PUSH_SPINS => {
-                    spins += 1;
-                    std::hint::spin_loop();
-                }
-                Err(_) => return Err(rec),
-            }
-        }
+    /// The byte bound of the shared buffer and of a producer's batch.
+    #[must_use]
+    pub fn cap(&self) -> usize {
+        self.shared.cap
     }
 
-    /// Offers one record. Returns `true` if it was accepted. A full
-    /// ring drops the record immediately; a contended lock is retried
-    /// for at most `PUSH_SPINS` spin hints (the consumer holds it
-    /// only for a pointer swap) before the record is likewise dropped.
-    /// Every drop is counted in [`dropped`]. This never blocks and
-    /// never allocates beyond the deque's growth toward its fixed
-    /// capacity.
-    ///
-    /// [`dropped`]: RingProducer::dropped
-    pub fn push(&self, rec: Record) -> bool {
-        if self.offer(rec).is_ok() {
-            return true;
+    /// Hands a batch of `events` encoded records to the writer with a
+    /// single `try_lock`. On success `batch` is left empty (possibly
+    /// holding the buffer's old allocation) and the events count as
+    /// recorded. A held lock or a buffer that cannot take the batch
+    /// within the bound returns `false` with `batch` untouched — the
+    /// caller keeps it for its next attempt. Never waits, never yields.
+    pub fn try_hand(&self, batch: &mut Vec<u8>, events: u64) -> bool {
+        let Ok(mut buf) = self.shared.buf.try_lock() else {
+            return false;
+        };
+        if !buf.is_empty() && buf.len() + batch.len() > self.shared.cap {
+            return false;
         }
-        self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-        false
+        take_batch(&mut buf, batch);
+        drop(buf);
+        self.shared.recorded.fetch_add(events, Ordering::Relaxed);
+        true
+    }
+
+    /// Hands a batch over unconditionally: waits for the lock (the
+    /// writer holds it for a pointer swap) and appends past the bound
+    /// if it must. For a producer that is going away — its last batch
+    /// has no later wake to retry at.
+    pub fn hand_final(&self, batch: &mut Vec<u8>, events: u64) {
+        let mut buf = self
+            .shared
+            .buf
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        take_batch(&mut buf, batch);
+        drop(buf);
+        self.shared.recorded.fetch_add(events, Ordering::Relaxed);
+    }
+
+    /// Counts `events` shed by a producer whose batch hit the bound.
+    pub fn shed(&self, events: u64) {
+        self.shared.dropped.fetch_add(events, Ordering::Relaxed);
     }
 
     /// Offers one record that the caller cannot afford to shed (crash
-    /// recovery's admission / snapshot anchors and final verdicts).
-    /// Retries [`push`](RingProducer::push)'s bounded attempt across up
-    /// to `INSIST_YIELDS` scheduler yields, so a writer descheduled
-    /// while holding the lock no longer forces a drop. Bounded and
-    /// lock-free like `push`, but willing to spend scheduler quanta —
-    /// keep it off the per-frame data path.
-    pub fn push_insist(&self, rec: Record) -> bool {
-        let mut rec = rec;
-        for _ in 0..INSIST_YIELDS {
-            match self.offer(rec) {
-                Ok(()) => return true,
-                Err(back) => rec = back,
+    /// recovery's stats checkpoint). Retries the bounded handoff with
+    /// spins and up to `INSIST_YIELDS` scheduler yields, so a writer
+    /// descheduled while holding the lock does not force a drop.
+    /// Bounded, but willing to spend scheduler quanta — never call it
+    /// from a shard.
+    pub fn push_insist(&self, rec: &Record) -> bool {
+        let mut bytes = Vec::with_capacity(32);
+        encode_record(rec, &mut bytes);
+        for _ in 0..=INSIST_YIELDS {
+            for _ in 0..PUSH_SPINS {
+                if self.try_hand(&mut bytes, 1) {
+                    return true;
+                }
+                std::hint::spin_loop();
             }
             std::thread::yield_now();
         }
-        if self.offer(rec).is_ok() {
-            return true;
-        }
-        self.shared.dropped.fetch_add(1, Ordering::Relaxed);
+        self.shed(1);
         false
     }
 
-    /// Events accepted into the ring so far.
+    /// Events handed to the writer so far.
     #[must_use]
     pub fn recorded(&self) -> u64 {
         self.shared.recorded.load(Ordering::Relaxed)
     }
 
-    /// Events dropped at the ring so far.
+    /// Events shed so far.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.shared.dropped.load(Ordering::Relaxed)
@@ -172,8 +184,8 @@ impl RingProducer {
 
     /// Requests a flush barrier: returns a token that
     /// [`sync_done`](RingProducer::sync_done) reports once every record
-    /// pushed *before* this call has been drained, encoded, and flushed
-    /// to disk by the writer. Used by crash recovery, which must read a
+    /// handed over *before* this call has been drained and flushed to
+    /// disk by the writer. Used by crash recovery, which must read a
     /// shard's file while the writer is still alive. Never blocks.
     pub fn request_sync(&self) -> u64 {
         self.shared.sync_req.fetch_add(1, Ordering::AcqRel) + 1
@@ -187,22 +199,23 @@ impl RingProducer {
 }
 
 impl RingConsumer {
-    /// Moves every buffered record into `out`. The lock is held for
-    /// exactly one pointer swap — O(1) no matter how many records are
-    /// pending, so a racing producer's bounded `try_lock` spin wins. A
-    /// poisoned lock (a panicked producer mid-push, which cannot
-    /// happen — push performs no fallible work under the lock)
-    /// degrades to draining whatever is there.
-    pub fn drain(&mut self, out: &mut Vec<Record>) {
+    /// Takes every buffered byte and returns it; the slice is valid
+    /// until the next drain. The lock is held for exactly one pointer
+    /// swap — O(1) no matter how much is pending. A poisoned lock (a
+    /// producer panicking mid-handoff, which cannot happen — a handoff
+    /// performs no fallible work under the lock) degrades to draining
+    /// whatever is there.
+    pub fn drain(&mut self) -> &[u8] {
+        self.scratch.clear();
         {
-            let mut q = self
+            let mut buf = self
                 .shared
                 .buf
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            std::mem::swap(&mut *q, &mut self.scratch);
+            std::mem::swap(&mut *buf, &mut self.scratch);
         }
-        out.extend(self.scratch.drain(..));
+        &self.scratch
     }
 
     /// True once the producer closed the ring; buffered records may
@@ -235,12 +248,22 @@ impl RingConsumer {
             self.shared.dropped.load(Ordering::Relaxed),
         )
     }
+
+    /// Takes the buffer lock and holds it, as a writer descheduled
+    /// mid-swap would.
+    #[cfg(test)]
+    pub(crate) fn hold(&self) -> std::sync::MutexGuard<'_, Vec<u8>> {
+        self.shared
+            .buf
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{Event, RecStats};
+    use crate::format::{decode_record, Event};
 
     fn ev(session: u32) -> Record {
         Record::Event(Event::DeadlineMiss {
@@ -250,52 +273,69 @@ mod tests {
         })
     }
 
-    #[test]
-    fn push_then_drain_preserves_order() {
-        let (tx, mut rx) = ring(8);
-        for i in 0..5 {
-            assert!(tx.push(ev(i)));
+    fn batch_of(ids: std::ops::Range<u32>) -> Vec<u8> {
+        let mut batch = Vec::new();
+        for i in ids {
+            encode_record(&ev(i), &mut batch);
         }
-        let mut out = Vec::new();
-        rx.drain(&mut out);
-        let ids: Vec<u32> = out
-            .iter()
-            .map(|r| match r {
-                Record::Event(Event::DeadlineMiss { session, .. }) => *session,
-                _ => u32::MAX,
-            })
-            .collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+        batch
+    }
+
+    /// Session ids of every record in `bytes`, in order.
+    fn sessions_in(mut bytes: &[u8]) -> Vec<u32> {
+        let mut ids = Vec::new();
+        while !bytes.is_empty() {
+            let (rec, used) = decode_record(bytes).expect("whole records");
+            if let Record::Event(Event::DeadlineMiss { session, .. }) = rec {
+                ids.push(session);
+            }
+            bytes = &bytes[used..];
+        }
+        ids
+    }
+
+    #[test]
+    fn handoffs_append_in_order() {
+        let (tx, mut rx) = ring(1 << 16);
+        let mut first = batch_of(0..3);
+        assert!(tx.try_hand(&mut first, 3));
+        assert!(first.is_empty());
+        let mut second = batch_of(3..5);
+        assert!(tx.try_hand(&mut second, 2));
+        assert_eq!(sessions_in(rx.drain()), vec![0, 1, 2, 3, 4]);
         assert_eq!(tx.recorded(), 5);
         assert_eq!(tx.dropped(), 0);
+        assert!(rx.drain().is_empty());
     }
 
     #[test]
-    fn full_ring_drops_newest_and_counts() {
-        let (tx, mut rx) = ring(2);
-        assert!(tx.push(ev(0)));
-        assert!(tx.push(ev(1)));
-        assert!(!tx.push(ev(2)));
-        assert!(!tx.push(ev(3)));
+    fn a_full_buffer_refuses_an_append_and_keeps_the_batch() {
+        let one = batch_of(0..1).len();
+        let (tx, mut rx) = ring(2 * one);
+        let mut a = batch_of(0..2);
+        assert!(tx.try_hand(&mut a, 2));
+        let mut b = batch_of(2..3);
+        assert!(!tx.try_hand(&mut b, 1));
+        assert_eq!(b.len(), one, "a refused batch stays with its producer");
         assert_eq!(tx.recorded(), 2);
-        assert_eq!(tx.dropped(), 2);
-        let mut out = Vec::new();
-        rx.drain(&mut out);
-        assert_eq!(out.len(), 2);
+        assert_eq!(sessions_in(rx.drain()), vec![0, 1]);
         // Room again after the drain.
-        assert!(tx.push(Record::Stats(RecStats::default())));
+        assert!(tx.try_hand(&mut b, 1));
+        assert_eq!(sessions_in(rx.drain()), vec![2]);
     }
 
     #[test]
-    fn contended_lock_drops_instead_of_blocking() {
-        let (tx, rx) = ring(64);
-        // Hold the consumer side of the lock across a push: the producer
-        // must give up after its bounded spins, not wait indefinitely.
-        let guard = rx.shared.buf.lock().unwrap_or_else(PoisonError::into_inner);
-        assert!(!tx.push(ev(0)));
-        drop(guard);
-        assert_eq!(tx.dropped(), 1);
-        assert!(tx.push(ev(1)));
+    fn final_handoff_ignores_the_bound() {
+        let one = batch_of(0..1).len();
+        let (tx, mut rx) = ring(one);
+        let mut a = batch_of(0..1);
+        assert!(tx.try_hand(&mut a, 1));
+        let mut b = batch_of(1..3);
+        assert!(!tx.try_hand(&mut b, 2));
+        tx.hand_final(&mut b, 2);
+        assert!(b.is_empty());
+        assert_eq!(sessions_in(rx.drain()), vec![0, 1, 2]);
+        assert_eq!(tx.recorded(), 3);
     }
 
     #[test]
@@ -322,14 +362,13 @@ mod tests {
 
     #[test]
     fn close_is_visible_to_the_consumer() {
-        let (tx, mut rx) = ring(4);
+        let (tx, mut rx) = ring(1 << 10);
         assert!(!rx.is_closed());
-        tx.push(ev(9));
+        let mut batch = batch_of(9..10);
+        assert!(tx.try_hand(&mut batch, 1));
         tx.close();
         assert!(rx.is_closed());
-        let mut out = Vec::new();
-        rx.drain(&mut out);
-        assert_eq!(out.len(), 1);
+        assert_eq!(sessions_in(rx.drain()), vec![9]);
         assert_eq!(rx.counters(), (1, 0));
     }
 }

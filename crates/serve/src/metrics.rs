@@ -73,12 +73,13 @@ pub struct ShardReport {
     pub frames_received: u64,
     /// Per-packet delivery latency across the shard's sessions.
     pub latency: LatencyHistogram,
-    /// Flight-recorder events this shard's ring accepted (0 when
-    /// recording is off).
+    /// Flight-recorder events handed to this shard's writer (0 when
+    /// recording is off), read after the shard's exit handoff.
     pub events_recorded: u64,
-    /// Flight-recorder events shed because the ring was full or
-    /// contended — recording is strictly nonblocking, so saturation
-    /// drops events rather than pacing the data path.
+    /// Flight-recorder events shed because the shard's batch reached
+    /// its byte bound — recording is strictly nonblocking, so a writer
+    /// that falls that far behind costs events rather than pacing the
+    /// data path.
     pub events_dropped: u64,
     /// Sessions this shard adopted from a peer (handover) or from a
     /// crash-recovery resume.

@@ -30,7 +30,7 @@ use rstp_net::{
     codec_for, decode_control, encode_control, ControlFrame, ControlKind, Frame, FrameBuf,
     NetError, Pace, TickClock, WireCodec,
 };
-use rstp_record::{Event, ShardRecorder};
+use rstp_record::{Event, FrameDir, ShardRecorder};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
@@ -162,7 +162,7 @@ pub(crate) fn run_shard(
     rx: Receiver<ShardMsg>,
     mut egress: Box<dyn EgressSink>,
     completed_total: Arc<AtomicU64>,
-    recorder: Option<ShardRecorder>,
+    mut recorder: Option<ShardRecorder>,
     pump: Sender<PumpMsg>,
 ) -> Result<ShardReport, NetError> {
     #[cfg(rstp_check_inject_ack_bug)]
@@ -233,7 +233,7 @@ pub(crate) fn run_shard(
                     // would book a spurious miss at admission.
                     wheel.schedule(now_tick(&clock) + 1, idx);
                     report.admitted += 1;
-                    if let Some(r) = &recorder {
+                    if let Some(r) = recorder.as_mut() {
                         r.record_durable(Event::Admit {
                             at_micros: clock.now_micros(),
                             session: spec.id.raw(),
@@ -295,7 +295,7 @@ pub(crate) fn run_shard(
                         &sp,
                         &clock,
                         &pump,
-                        &recorder,
+                        recorder.as_mut(),
                         &mut report,
                         &mut sessions,
                         &mut by_id,
@@ -329,7 +329,7 @@ pub(crate) fn run_shard(
                     by_id.insert(rs.spec.id.raw(), idx);
                     wheel.schedule(now_tick(&clock) + 1, idx);
                     report.adopted += 1;
-                    if let Some(r) = &recorder {
+                    if let Some(r) = recorder.as_mut() {
                         if let Some(live) = sessions.get(idx).and_then(Option::as_ref) {
                             // A fresh anchor, so a *second* crash can
                             // recover without replaying the first life.
@@ -416,7 +416,7 @@ pub(crate) fn run_shard(
                 }
             }
             live.prev_wake = (!late).then_some(wake);
-            if let Some(r) = &recorder {
+            if let Some(r) = recorder.as_mut() {
                 r.record(Event::WheelPop {
                     at_micros: wake_micros,
                     session: live.spec.id.raw(),
@@ -439,7 +439,7 @@ pub(crate) fn run_shard(
             // step (inputs are channel outputs, not clocked).
             let received_any = !live.pending.is_empty();
             while let Some(frame) = live.pending.pop_front() {
-                if let Some(r) = &recorder {
+                if let Some(r) = recorder.as_mut() {
                     // Re-encode canonically: byte-identical to the wire,
                     // so the recording carries full frames, not summaries.
                     let wire = live.codec.encode_with_session(
@@ -448,11 +448,7 @@ pub(crate) fn run_shard(
                         frame.sent_at_micros,
                         live.spec.id,
                     );
-                    r.record(Event::Rx {
-                        at_micros: wake_micros,
-                        session: live.spec.id.raw(),
-                        wire: wire.to_vec(),
-                    });
+                    r.record_frame(FrameDir::Rx, wake_micros, live.spec.id.raw(), &wire);
                 }
                 live.endpoint.apply_recv(frame.packet)?;
                 report
@@ -474,12 +470,8 @@ pub(crate) fn run_shard(
                     let bytes =
                         live.codec
                             .encode_with_session(p, live.seq, wake_micros, live.spec.id);
-                    if let Some(r) = &recorder {
-                        r.record(Event::Tx {
-                            at_micros: wake_micros,
-                            session: live.spec.id.raw(),
-                            wire: bytes.to_vec(),
-                        });
+                    if let Some(r) = recorder.as_mut() {
+                        r.record_frame(FrameDir::Tx, wake_micros, live.spec.id.raw(), &bytes);
                     }
                     live.seq += 1;
                     out_buf.push((live.spec.id.raw(), bytes.into()));
@@ -488,7 +480,7 @@ pub(crate) fn run_shard(
                 }
                 StepEffect::Wrote(m) => {
                     live.last_write_tick = Some(due_tick);
-                    if let Some(r) = &recorder {
+                    if let Some(r) = recorder.as_mut() {
                         // The acknowledged-output ledger: cumulative
                         // count plus the bit, so the no-acknowledged-
                         // loss oracle can check Y's *content* prefix
@@ -521,7 +513,7 @@ pub(crate) fn run_shard(
                     by_id.remove(&done.spec.id.raw());
                     report.completed += 1;
                     let stats = done.stats(true);
-                    if let Some(r) = &recorder {
+                    if let Some(r) = recorder.as_mut() {
                         r.record_durable(Event::Verdict {
                             at_micros: wake_micros,
                             session: stats.id.raw(),
@@ -557,13 +549,19 @@ pub(crate) fn run_shard(
             report.frames_sent += egress.send_batch(chunk)? as u64;
         }
         out_buf.clear();
+
+        // This wake's recorder events go to the writer in one handoff;
+        // a busy writer leaves them batched for the next wake.
+        if let Some(r) = recorder.as_mut() {
+            r.handoff();
+        }
     }
 
     // Account whatever is still open.
     for slot in sessions.into_iter().flatten() {
         report.unfinished += 1;
         let stats = slot.stats(false);
-        if let Some(r) = &recorder {
+        if let Some(r) = recorder.as_mut() {
             r.record_durable(Event::Verdict {
                 at_micros: clock.now_micros(),
                 session: stats.id.raw(),
@@ -573,7 +571,11 @@ pub(crate) fn run_shard(
         }
         report.sessions.push(stats);
     }
-    if let Some(r) = &recorder {
+    if let Some(r) = recorder.as_mut() {
+        // The exit handoff first, so the counters include the last
+        // batch. A shard leaving early — an error, a panic — hands its
+        // batch over when the recorder drops.
+        r.final_handoff();
         report.events_recorded = r.recorded();
         report.events_dropped = r.dropped();
     }
@@ -654,7 +656,7 @@ fn handle_control(
     sp: &ShardParams,
     clock: &TickClock,
     pump: &Sender<PumpMsg>,
-    recorder: &Option<ShardRecorder>,
+    recorder: Option<&mut ShardRecorder>,
     report: &mut ShardReport,
     sessions: &mut Vec<Option<Live>>,
     by_id: &mut HashMap<u32, usize>,

@@ -850,6 +850,103 @@ mod tests {
         );
     }
 
+    /// Runs four Stenning sessions on two recorded shards under `faults`
+    /// and returns the run's outcome plus shard 0's recording.
+    fn recorded_fault_run(
+        faults: &str,
+        tag: &str,
+    ) -> (Result<SwarmReport, NetError>, rstp_record::Recording) {
+        let params = TimingParams::from_ticks(1, 2, 4).expect("valid");
+        let tick = Duration::from_micros(200);
+        let dir = std::env::temp_dir().join(format!(
+            "rstp-swarm-{tag}-{}-{:?}",
+            std::process::id(),
+            thread::current().id()
+        ));
+        let serve = ServeConfig::new(params, tick)
+            .with_shards(2)
+            .with_max_sessions(4)
+            .with_max_wall(Duration::from_secs(2))
+            .with_record(&dir)
+            .with_faults(crate::FaultPlan::parse(faults).expect("plan"));
+        let sessions: Vec<(SessionSpec, Vec<Message>)> = (1..=4u32)
+            .map(|i| {
+                let spec = SessionSpec {
+                    id: SessionId::new(i),
+                    kind: ProtocolKind::Stenning {
+                        timeout_steps: None,
+                    },
+                    n: 4,
+                };
+                (spec, random_input(4, u64::from(i)))
+            })
+            .collect();
+        let outcome = run_swarm_sessions(&sessions, &serve, SwarmTransport::Mem);
+        let recording = rstp_record::Recording::load(&dir.join(rstp_record::shard_file_name(0)))
+            .expect("shard 0 recording");
+        let _ = std::fs::remove_dir_all(&dir);
+        (outcome, recording)
+    }
+
+    /// Every session shard 0 owns (even ids of four, two shards) must
+    /// have its recovery anchors on disk.
+    fn assert_anchors_on_disk(recording: &rstp_record::Recording) {
+        use rstp_record::Event;
+        for id in [2u32, 4] {
+            let admit = recording
+                .events
+                .iter()
+                .any(|e| matches!(e, Event::Admit { session, .. } if *session == id));
+            let snapshot = recording
+                .events
+                .iter()
+                .any(|e| matches!(e, Event::Snapshot { session, .. } if *session == id));
+            assert!(
+                admit && snapshot,
+                "session {id}: admit {admit}, snapshot {snapshot}"
+            );
+        }
+    }
+
+    // Each fault runs at two ticks: at 0 it reaches the shard in the
+    // same wake as the admissions, so the anchors are still batched
+    // when the shard stops; at 5 the shard has run a few wakes first.
+
+    #[test]
+    fn a_panicking_shard_hands_its_last_batch_to_disk() {
+        // The shard unwinds; dropping its recorder during the unwind
+        // must hand the batch over.
+        for at in [0, 5] {
+            let (outcome, recording) = recorded_fault_run(&format!("panic=0@{at}"), "rec-panic");
+            assert!(
+                matches!(outcome, Err(NetError::Thread { .. })),
+                "panic fault must fail the run"
+            );
+            assert_anchors_on_disk(&recording);
+        }
+    }
+
+    #[test]
+    fn a_killed_shard_hands_its_last_batch_to_disk() {
+        for at in [0, 5] {
+            let (outcome, recording) = recorded_fault_run(&format!("kill=0@{at}"), "rec-kill");
+            let report = outcome.expect("a kill is not a run error");
+            assert_eq!(report.serve.crashes, 1, "{}", report.summary());
+            assert_anchors_on_disk(&recording);
+            // The crashed epoch's counters are read after its exit
+            // handoff: they cover every event in the file.
+            let shard0 = report
+                .serve
+                .shards
+                .iter()
+                .find(|s| s.shard == 0)
+                .expect("shard 0 report");
+            assert!(shard0.crashed);
+            assert_eq!(shard0.events_recorded, recording.events.len() as u64);
+            assert_eq!(shard0.events_dropped, 0);
+        }
+    }
+
     #[test]
     fn summary_renders_every_section() {
         let params = TimingParams::from_ticks(1, 2, 4).expect("valid");
